@@ -1,9 +1,9 @@
 // Empirical validation of the Theorem-1/2 locality predictions.
 //
 // For every suite code and P in {1, 4, 8} simulated processors, replays the
-// derived execution plan on the parallel trace simulator (one thread per
-// simulated processor) and cross-checks the observed local/remote traffic
-// against the LCG's edge labels. A single disagreement on any non-uncoupled
+// derived execution plan (one serial pass over every access) and
+// cross-checks the observed local/remote traffic against the LCG's edge
+// labels. A single disagreement on any non-uncoupled
 // edge fails the bench.
 //
 // Also emits BENCH_sim.json with per-code replay rates (accesses/sec) and
@@ -104,8 +104,10 @@ int main() {
       driver::PipelineConfig config;
       config.params = codes::bindParams(program, code.simParams);
       config.processors = H;
+      // The trace stage then runs (and times) the one replay itself.
+      config.simulatePlan = false;
       config.simulateBaseline = false;
-      config.traceSimulate = true;
+      config.validate = driver::ValidateMode::kTrace;
 
       const auto result = driver::analyzeAndSimulate(program, config);
       Run run;

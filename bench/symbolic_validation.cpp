@@ -1,8 +1,8 @@
 // Closed-form symbolic validation at paper scale.
 //
-// The enumerating trace simulator is O(accesses * threads): exact, but it
-// cannot reach the machine sizes the paper analyzes (P = 1024). The symbolic
-// validator computes the identical observed trace in O(descriptor regions).
+// The enumerating trace replay is O(accesses): exact, but it cannot reach the
+// problem sizes the paper analyzes. The symbolic validator computes the
+// identical observed trace in O(descriptor regions).
 // This bench demonstrates both claims:
 //
 //   - differential: at P in {4, 8} both oracles run and must agree exactly
@@ -90,7 +90,7 @@ int main() {
     double replayRate = 0.0;  // simulator accesses/sec, measured at P = 4
 
     for (const std::int64_t H : processorCounts) {
-      const bool differential = H <= 8;  // the simulator spawns H real threads
+      const bool differential = H <= 8;  // the schema pins the enumerated twin here
       driver::PipelineConfig config;
       config.params = codes::bindParams(program, code.simParams);
       config.processors = H;

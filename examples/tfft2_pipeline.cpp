@@ -10,10 +10,10 @@
 // simulated execution against the naive baseline, and a Graphviz rendering
 // of the LCG (pipe the last section into `dot -Tpng`).
 //
-// With --simulate, additionally replays the plan on the parallel trace
-// simulator (H real threads, one per simulated processor) and cross-checks
-// the observed local/remote traffic against the Theorem-1/2 edge labels.
-// --validate picks the oracle explicitly: trace (the enumerating simulator),
+// With --simulate, additionally takes the observed local/remote traffic from
+// the plan replay (one serial pass over every access) and cross-checks it
+// against the Theorem-1/2 edge labels.
+// --validate picks the oracle explicitly: trace (the enumerating replay),
 // symbolic (closed-form interval counts, O(descriptors)), or both
 // (differential mode: the two traces must agree exactly — see
 // docs/VALIDATION.md). A differential mismatch exits 1.

@@ -325,17 +325,19 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
                                  dsm::ExecutionPlan::naiveBlock(program, config.params,
                                                                 config.processors));
   }
-  const ValidateMode mode = config.validate != ValidateMode::kNone
-                                ? config.validate
-                                : (config.traceSimulate ? ValidateMode::kTrace
-                                                        : ValidateMode::kNone);
+  const ValidateMode mode = config.validate;
   if (mode == ValidateMode::kTrace || mode == ValidateMode::kBoth) {
     obs::Span s("pipeline.trace_sim");
     ErrorContext stage("stage", "trace_sim");
     support::throwIfCancelled();
-    sim::SimOptions so;
-    so.processors = config.processors;
-    result.trace = sim::simulateTrace(program, config.params, result.plan, so);
+    if (config.simulatePlan) {
+      // The plan replay above already enumerated every access.
+      result.trace = sim::traceOfReplay(result.planned.observed, config.processors);
+    } else {
+      sim::SimOptions so;
+      so.processors = config.processors;
+      result.trace = sim::simulateTrace(program, config.params, result.plan, so);
+    }
   }
   if (mode == ValidateMode::kSymbolic || mode == ValidateMode::kBoth) {
     obs::Span s("pipeline.symval");
@@ -483,7 +485,7 @@ std::string PipelineResult::report(const ir::Program& program) const {
     os << "  efficiency = " << naiveEfficiency() << "\n";
   }
   if (trace) {
-    os << "\n=== Parallel trace simulation (" << trace->processors << " threads) ===\n"
+    os << "\n=== Trace simulation (H = " << trace->processors << ") ===\n"
        << trace->str();
   }
   if (symbolic) {

@@ -32,7 +32,7 @@ class ThreadPool;
 namespace ad::driver {
 
 /// Which trace-validation oracle(s) to run after planning (docs/VALIDATION.md):
-///  - kTrace:    enumerate every access on the parallel trace simulator;
+///  - kTrace:    enumerate every access (the plan replay's observed trace);
 ///  - kSymbolic: closed-form interval-intersection counts (O(descriptors));
 ///  - kBoth:     run both and compare them field for field (differential
 ///               mode; any difference is reported as a validation failure).
@@ -52,15 +52,10 @@ struct PipelineConfig {
   /// Also simulate the naive BLOCK/BLOCK baseline for comparison.
   bool simulateBaseline = true;
 
-  /// The `--simulate` stage: additionally replay the plan on the parallel
-  /// trace simulator (one thread per simulated processor) and cross-check the
-  /// observed communication against the LCG's Theorem-1/2 edge labels.
-  /// Legacy switch: equivalent to `validate = ValidateMode::kTrace`; ignored
-  /// when `validate` is set explicitly.
-  bool traceSimulate = false;
-
-  /// Trace-validation oracle selection (`--validate=trace|symbolic|both`).
-  /// kNone defers to the legacy `traceSimulate` flag.
+  /// Trace-validation oracle selection (`--validate=trace|symbolic|both`;
+  /// `--simulate` is kTrace): cross-check the observed communication against
+  /// the LCG's Theorem-1/2 edge labels. The enumerated trace is the plan
+  /// replay's own tally when simulatePlan is on, one extra replay otherwise.
   ValidateMode validate = ValidateMode::kNone;
 
   /// Worker threads for the batched engine (analyzeBatch). Within a single
@@ -89,8 +84,8 @@ struct PipelineResult {
   dsm::SimulationResult naive;                ///< under the BLOCK baseline
   std::int64_t processors = 1;
 
-  /// Present when trace validation ran (kTrace / kBoth, or traceSimulate).
-  std::optional<sim::TraceResult> trace;                      ///< parallel replay
+  /// Present when trace validation ran (kTrace / kBoth).
+  std::optional<sim::TraceResult> trace;                      ///< enumerated trace
   /// Present when symbolic validation ran (kSymbolic / kBoth).
   std::optional<loc::SymbolicCounts> symbolic;                ///< closed-form counts
   /// Theorem-1/2 check against whichever observed trace ran (the enumerated

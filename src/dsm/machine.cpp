@@ -5,10 +5,37 @@
 #include <sstream>
 
 #include "obs/obs.hpp"
+#include "support/budget.hpp"
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::dsm {
+
+namespace {
+
+std::int64_t evalInt(const sym::Expr& e, const ir::Bindings& params, const char* what) {
+  const Rational r = e.evaluate(params);
+  if (!r.isInteger()) throw AnalysisError(std::string(what) + " is not integral");
+  return r.asInteger();
+}
+
+/// How one reference's accesses are classified in one phase.
+struct RefRecipe {
+  std::size_t slot = 0;                    ///< index into the phase's array slots
+  const DataDistribution* dist = nullptr;  ///< null: privatized (always local)
+  std::int64_t halo = 0;                   ///< replicated frontier width (reads only)
+};
+
+/// Cost of one aggregated communication event. Aggregated puts proceed in
+/// parallel across processors: the critical path carries ~1/H of the volume
+/// and messages.
+double putTime(const RedistributionStats& rs, const MachineParams& machine) {
+  return (static_cast<double>(rs.messages) * machine.putLatency +
+          static_cast<double>(rs.wordsMoved) * machine.perWord) /
+         static_cast<double>(machine.processors);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Distributions
@@ -95,6 +122,18 @@ double SimulationResult::sequentialTime() const {
   return t;
 }
 
+std::int64_t PhaseCounts::local() const {
+  std::int64_t n = 0;
+  for (const auto& [_, c] : arrays) n += c.local;
+  return n;
+}
+
+std::int64_t PhaseCounts::remote() const {
+  std::int64_t n = 0;
+  for (const auto& [_, c] : arrays) n += c.remote;
+  return n;
+}
+
 std::int64_t SimulationResult::totalRemoteAccesses() const {
   std::int64_t n = 0;
   for (const auto& p : phases) n += p.remoteAccesses;
@@ -157,6 +196,103 @@ bool redistributionMovesData(const ir::Program& program, const std::string& arra
   return false;  // never used again
 }
 
+std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
+                                                   const ir::Bindings& params,
+                                                   const ExecutionPlan& plan,
+                                                   const ir::ArrayDecl& array, std::size_t phase) {
+  const auto hit = plan.halo.find(array.name);
+  if (hit == plan.halo.end() || hit->second[phase] <= 0) return std::nullopt;
+  const ir::Phase& reader = program.phase(phase);
+  if (!reader.reads(array.name) || reader.isPrivatized(array.name)) return std::nullopt;
+  const bool writtenElsewhere =
+      std::any_of(program.phases().begin(), program.phases().end(), [&](const ir::Phase& other) {
+        return &other != &reader && other.writes(array.name) && !other.isPrivatized(array.name);
+      });
+  if (!writtenElsewhere) return std::nullopt;
+  const DataDistribution& dist = plan.data.at(array.name)[phase];
+  if (!dist.hasOwner()) return std::nullopt;
+  const std::int64_t size = evalInt(array.size, params, "array size");
+  const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
+  RedistributionStats rs;
+  rs.array = array.name;
+  rs.beforePhase = phase;
+  rs.frontier = true;
+  rs.wordsMoved = 2 * hit->second[phase] * boundaries;  // both directions
+  rs.messages = 2 * boundaries;
+  if (rs.wordsMoved <= 0) return std::nullopt;
+  return rs;
+}
+
+PhaseReplay replayPhase(const ir::Program& program, const ir::Bindings& params,
+                        const MachineParams& machine, const ExecutionPlan& plan,
+                        std::size_t phase) {
+  const ir::Phase& ph = program.phase(phase);
+  obs::Span span("dsm.phase:" + ph.name(), "dsm");
+  const std::int64_t H = machine.processors;
+
+  // Per-reference recipes, so the per-access path does no map lookups.
+  std::vector<std::string> slotArrays;  // distinct arrays, first-reference order
+  std::vector<RefRecipe> recipes;       // parallel to ph.refs()
+  for (const auto& r : ph.refs()) {
+    RefRecipe rr;
+    const auto seen = std::find(slotArrays.begin(), slotArrays.end(), r.array);
+    rr.slot = static_cast<std::size_t>(seen - slotArrays.begin());
+    if (seen == slotArrays.end()) slotArrays.push_back(r.array);
+    if (!ph.isPrivatized(r.array)) {
+      const auto it = plan.data.find(r.array);
+      AD_REQUIRE(it != plan.data.end(), "plan missing array " + r.array);
+      rr.dist = &it->second[phase];
+      // Halo replicas serve reads only (Theorem 1c: overlap must be
+      // read-only to stay consistent without updates).
+      if (r.kind == ir::AccessKind::kRead) {
+        if (auto hit = plan.halo.find(r.array); hit != plan.halo.end()) {
+          rr.halo = hit->second[phase];
+        }
+      }
+    }
+    recipes.push_back(rr);
+  }
+
+  PhaseReplay out;
+  PhaseStats& ps = out.stats;
+  ps.phase = ph.name();
+  ps.peTime.assign(static_cast<std::size_t>(H), 0.0);
+  std::vector<ArrayCounts> slots(slotArrays.size());
+  const IterationDistribution& sched = plan.iteration[phase];
+  const bool parallel = ph.hasParallelLoop();
+  // Compute work scales with the phase's per-access weight; remoteness adds a
+  // flat network penalty on top.
+  const double localCost = machine.localAccess * ph.workPerAccess();
+  const double remoteCost = localCost + machine.remoteAccess;
+  std::int64_t accesses = 0;
+  ir::forEachAccess(program, ph, params, [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
+    // A cancelled request stops within 4096 accesses, not after the phase.
+    if ((accesses++ & 0xFFF) == 0) support::throwIfCancelled();
+    const RefRecipe& rr = recipes[static_cast<std::size_t>(acc.ref - ph.refs().data())];
+    const std::int64_t pe = parallel ? sched.executor(acc.parallelIter, H) : 0;
+    ArrayCounts& c = slots[rr.slot];
+    double& peTime = ps.peTime[static_cast<std::size_t>(pe)];
+    if (rr.dist == nullptr || rr.dist->isLocal(acc.address, pe, H, rr.halo)) {
+      peTime += localCost;
+      ++c.local;
+    } else {
+      peTime += remoteCost;
+      ++c.remote;
+      c.remoteBytes += kWordBytes;
+    }
+    ps.seqTime += localCost;
+  });
+  ps.time = *std::max_element(ps.peTime.begin(), ps.peTime.end());
+
+  out.counts.phase = ph.name();
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    ps.localAccesses += slots[slot].local;
+    ps.remoteAccesses += slots[slot].remote;
+    out.counts.arrays.emplace(slotArrays[slot], slots[slot]);
+  }
+  return out;
+}
+
 SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                           const MachineParams& machine, const ExecutionPlan& plan) {
   obs::Span span("dsm.simulate");
@@ -164,10 +300,11 @@ SimulationResult simulate(const ir::Program& program, const ir::Bindings& params
              "plan must cover every phase");
   const std::int64_t H = machine.processors;
   SimulationResult result;
+  // The observed trace lists global redistributions after every frontier
+  // refresh; they are collected here and appended at the end.
+  std::vector<RedistributionStats> observedGlobals;
 
   for (std::size_t k = 0; k < program.phases().size(); ++k) {
-    const ir::Phase& phase = program.phase(k);
-
     // Redistributions: any array whose distribution changes entering phase k.
     if (k > 0) {
       for (const auto& arr : program.arrays()) {
@@ -185,7 +322,7 @@ SimulationResult simulate(const ir::Program& program, const ir::Bindings& params
         RedistributionStats rs;
         rs.array = arr.name;
         rs.beforePhase = k;
-        const std::int64_t size = arr.size.evaluate(params).asInteger();
+        const std::int64_t size = evalInt(arr.size, params, "array size");
         std::set<std::pair<std::int64_t, std::int64_t>> pairs;
         for (std::int64_t a = 0; a < size; ++a) {
           const std::int64_t src = prev.owner(a, H);
@@ -195,12 +332,10 @@ SimulationResult simulate(const ir::Program& program, const ir::Bindings& params
           pairs.insert({src, dst});
         }
         rs.messages = static_cast<std::int64_t>(pairs.size());
-        // Aggregated puts proceed in parallel across processors: the
-        // critical path carries ~1/H of the volume and messages.
-        rs.time = (static_cast<double>(rs.messages) * machine.putLatency +
-                   static_cast<double>(rs.wordsMoved) * machine.perWord) /
-                  static_cast<double>(H);
-        if (rs.wordsMoved > 0) result.redistributions.push_back(std::move(rs));
+        if (rs.wordsMoved == 0) continue;
+        observedGlobals.push_back(rs);
+        rs.time = putTime(rs, machine);
+        result.redistributions.push_back(std::move(rs));
       }
     }
 
@@ -208,73 +343,24 @@ SimulationResult simulate(const ir::Program& program, const ir::Bindings& params
     // the owners push the replicated overlap regions (aggregated puts). With
     // a single processor every block boundary is intra-processor — the
     // "refresh" would be a self-put moving nothing over the network — so the
-    // whole pass only exists for H >= 2 (the element-exact redistribution
-    // loop above gets this for free from its src == dst owner check).
-    if (H > 1) for (const auto& arr : program.arrays()) {
-      const auto hit = plan.halo.find(arr.name);
-      if (hit == plan.halo.end() || hit->second[k] <= 0) continue;
-      if (!phase.reads(arr.name) || phase.isPrivatized(arr.name)) continue;
-      bool writtenElsewhere = false;
-      for (const auto& other : program.phases()) {
-        writtenElsewhere = writtenElsewhere ||
-                           (&other != &phase && other.writes(arr.name) &&
-                            !other.isPrivatized(arr.name));
+    // cost model charges it only for H >= 2 (the element-exact
+    // redistribution loop above gets this for free from its src == dst
+    // owner check). The observed trace still lists it.
+    for (const auto& arr : program.arrays()) {
+      auto rs = frontierRefresh(program, params, plan, arr, k);
+      if (!rs) continue;
+      result.observed.redistributions.push_back(*rs);
+      if (H > 1) {
+        rs->time = putTime(*rs, machine);
+        result.redistributions.push_back(std::move(*rs));
       }
-      if (!writtenElsewhere) continue;
-      const auto& dist = plan.data.at(arr.name)[k];
-      if (!dist.hasOwner()) continue;
-      const std::int64_t size = arr.size.evaluate(params).asInteger();
-      const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
-      RedistributionStats rs;
-      rs.array = arr.name;
-      rs.beforePhase = k;
-      rs.frontier = true;
-      rs.wordsMoved = 2 * hit->second[k] * boundaries;  // both directions
-      rs.messages = 2 * boundaries;
-      rs.time = (static_cast<double>(rs.messages) * machine.putLatency +
-                 static_cast<double>(rs.wordsMoved) * machine.perWord) /
-                static_cast<double>(H);
-      if (rs.wordsMoved > 0) result.redistributions.push_back(std::move(rs));
     }
 
-    PhaseStats ps;
-    ps.phase = phase.name();
-    ps.peTime.assign(static_cast<std::size_t>(H), 0.0);
-    const IterationDistribution& sched = plan.iteration[k];
-
-    ir::forEachAccess(program, phase, params,
-                      [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
-      const std::int64_t pe =
-          phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
-      bool local = true;
-      if (!phase.isPrivatized(acc.ref->array)) {
-        const auto it = plan.data.find(acc.ref->array);
-        AD_REQUIRE(it != plan.data.end(), "plan missing array " + acc.ref->array);
-        // Halo replicas serve reads only (Theorem 1c: overlap must be
-        // read-only to stay consistent without updates).
-        std::int64_t halo = 0;
-        if (acc.ref->kind == ir::AccessKind::kRead) {
-          if (auto hit = plan.halo.find(acc.ref->array); hit != plan.halo.end()) {
-            halo = hit->second[k];
-          }
-        }
-        local = it->second[k].isLocal(acc.address, pe, H, halo);
-      }
-      // Compute work scales with the phase's per-access weight; remoteness
-      // adds a flat network penalty on top.
-      const double cost = machine.localAccess * phase.workPerAccess() +
-                          (local ? 0.0 : machine.remoteAccess);
-      ps.peTime[static_cast<std::size_t>(pe)] += cost;
-      ps.seqTime += machine.localAccess * phase.workPerAccess();
-      if (local) {
-        ++ps.localAccesses;
-      } else {
-        ++ps.remoteAccesses;
-      }
-    });
-    ps.time = *std::max_element(ps.peTime.begin(), ps.peTime.end());
-    result.phases.push_back(std::move(ps));
+    PhaseReplay replay = replayPhase(program, params, machine, plan, k);
+    result.phases.push_back(std::move(replay.stats));
+    result.observed.phases.push_back(std::move(replay.counts));
   }
+  for (auto& rs : observedGlobals) result.observed.redistributions.push_back(std::move(rs));
   return result;
 }
 

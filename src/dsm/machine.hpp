@@ -9,7 +9,10 @@
 // The simulator replays a program's exact access stream (via ir::walker),
 // classifies every access local/remote against the active data distribution,
 // and charges costs from MachineParams. Data redistributions between phases
-// (the C edges of the LCG) are executed as aggregated puts.
+// (the C edges of the LCG) are executed as aggregated puts. The same serial
+// O(accesses) replay is the repo's one enumerating locality oracle: it also
+// tallies the per-(phase, array) counts of an ObservedTrace, which the
+// Theorem-1/2 validator and the closed-form symbolic validator consume.
 //
 // Cost parameters default to published T3D ratios (remote:local latency on
 // the order of 10^2, put startup on the order of 10^3 cycles); the paper's
@@ -20,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,9 +108,39 @@ struct RedistributionStats {
   bool frontier = false;  ///< frontier (halo refresh) rather than global
 };
 
+/// Bytes fetched by one remote access (one array element).
+inline constexpr std::int64_t kWordBytes = 8;
+
+/// Local/remote tallies of one array in one phase.
+struct ArrayCounts {
+  std::int64_t local = 0;
+  std::int64_t remote = 0;
+  std::int64_t remoteBytes = 0;  ///< bytes fetched by remote accesses
+};
+
+struct PhaseCounts {
+  std::string phase;
+  std::map<std::string, ArrayCounts> arrays;  ///< every array the phase references
+
+  [[nodiscard]] std::int64_t local() const;
+  [[nodiscard]] std::int64_t remote() const;
+};
+
+/// The communication a replay observed, in the shape both validation oracles
+/// produce: per-phase/per-array counts plus the communication events — all
+/// frontier refreshes in phase order, then all global redistributions.
+/// RedistributionStats::time is left 0 here (events are counted, not
+/// charged), and frontier refreshes are listed at H = 1 too, where the cost
+/// model charges none.
+struct ObservedTrace {
+  std::vector<PhaseCounts> phases;  ///< one per program phase
+  std::vector<RedistributionStats> redistributions;
+};
+
 struct SimulationResult {
   std::vector<PhaseStats> phases;
-  std::vector<RedistributionStats> redistributions;
+  std::vector<RedistributionStats> redistributions;  ///< charged, in execution order
+  ObservedTrace observed;                            ///< the same replay, counted
 
   [[nodiscard]] double parallelTime() const;
   [[nodiscard]] double sequentialTime() const;
@@ -143,6 +177,32 @@ struct ExecutionPlan {
 /// procedure). Assumes write-only phases produce the region they cover.
 [[nodiscard]] bool redistributionMovesData(const ir::Program& program, const std::string& array,
                                            std::size_t phase);
+
+/// The frontier refresh due before `phase` for `array`, in closed form: when
+/// the phase reads the array through a replicated halo and another phase
+/// writes it, the owners push `halo` words each way across every interior
+/// block boundary (no per-element work). nullopt when no refresh is due or it
+/// moves nothing. `time` is left 0.
+[[nodiscard]] std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
+                                                                 const ir::Bindings& params,
+                                                                 const ExecutionPlan& plan,
+                                                                 const ir::ArrayDecl& array,
+                                                                 std::size_t phase);
+
+/// One phase of the replay: per-processor time and per-array counts.
+struct PhaseReplay {
+  PhaseStats stats;
+  PhaseCounts counts;
+};
+
+/// Walks every access of phase `phase` once, in execution order, on
+/// machine.processors PEs: each parallel iteration runs on its CYCLIC(p)
+/// executor and each access is classified against the plan's distribution,
+/// halo and privatization, resolved once per reference. Polls the caller's
+/// cancellation token every 4096 accesses.
+[[nodiscard]] PhaseReplay replayPhase(const ir::Program& program, const ir::Bindings& params,
+                                      const MachineParams& machine, const ExecutionPlan& plan,
+                                      std::size_t phase);
 
 /// Replays the program under `plan` and returns the measured statistics.
 /// Arrays marked privatizable in a phase are local there regardless of the

@@ -143,18 +143,6 @@ DataFlowReport validateDataFlow(const ir::Program& program, const ir::Bindings& 
 // Theorem 1/2 validation
 // ---------------------------------------------------------------------------
 
-std::int64_t PhaseCounts::local() const {
-  std::int64_t n = 0;
-  for (const auto& [_, c] : arrays) n += c.local;
-  return n;
-}
-
-std::int64_t PhaseCounts::remote() const {
-  std::int64_t n = 0;
-  for (const auto& [_, c] : arrays) n += c.remote;
-  return n;
-}
-
 std::string LocalityValidationReport::str() const {
   std::ostringstream os;
   for (const auto& e : edges) {

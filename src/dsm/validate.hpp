@@ -44,33 +44,9 @@ struct DataFlowReport {
                                               std::int64_t processors);
 
 // ---------------------------------------------------------------------------
-// Theorem 1/2 validation against a measured access trace.
+// Theorem 1/2 validation against a measured access trace (ObservedTrace,
+// dsm/machine.hpp).
 // ---------------------------------------------------------------------------
-
-/// Local/remote tallies of one array in one phase, as measured by the trace
-/// simulator (sim::simulateTrace).
-struct ArrayCounts {
-  std::int64_t local = 0;
-  std::int64_t remote = 0;
-  std::int64_t remoteBytes = 0;  ///< bytes fetched by remote accesses
-};
-
-struct PhaseCounts {
-  std::string phase;
-  std::map<std::string, ArrayCounts> arrays;
-
-  [[nodiscard]] std::int64_t local() const;
-  [[nodiscard]] std::int64_t remote() const;
-};
-
-/// Everything a trace simulation measured: per-phase/per-array counts plus
-/// the communication events (global redistributions and frontier refreshes).
-/// RedistributionStats::time is left 0 here — the trace counts events; model
-/// cycles are dsm::simulate's job.
-struct ObservedTrace {
-  std::vector<PhaseCounts> phases;  ///< one per program phase
-  std::vector<RedistributionStats> redistributions;
-};
 
 /// One non-uncoupled LCG edge checked against the trace.
 struct EdgeObservation {

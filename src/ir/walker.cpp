@@ -33,25 +33,6 @@ void walk(const Program& program, const Phase& phase, Bindings& b, std::size_t d
   b.erase(l.index);
 }
 
-/// walk() with a value filter applied at the parallel loop's depth `parPos`.
-void walkWhere(const Phase& phase, Bindings& b, std::size_t depth, std::size_t parPos,
-               const std::function<bool(std::int64_t)>& keep,
-               const std::function<void(const Bindings&)>& fn) {
-  if (depth == phase.loops().size()) {
-    fn(b);
-    return;
-  }
-  const Loop& l = phase.loops()[depth];
-  const std::int64_t lo = evalInt(l.lower, b, "loop lower bound");
-  const std::int64_t hi = evalInt(l.upper, b, "loop upper bound");
-  for (std::int64_t v = lo; v <= hi; ++v) {
-    if (depth == parPos && !keep(v)) continue;
-    b[l.index] = v;
-    walkWhere(phase, b, depth + 1, parPos, keep, fn);
-  }
-  b.erase(l.index);
-}
-
 }  // namespace
 
 void forEachIteration(const Program& program, const Phase& phase, const Bindings& params,
@@ -71,28 +52,6 @@ void forEachAccess(const Program& program, const Phase& phase, const Bindings& p
       acc.address = evalInt(r.subscript, b, "subscript");
       acc.parallelIter = hasPar ? b.at(parIdx) : 0;
       fn(acc, b);
-    }
-  });
-}
-
-void forEachAccessWhere(const Program& program, const Phase& phase, const Bindings& params,
-                        const std::function<bool(std::int64_t)>& keep,
-                        const std::function<void(const ConcreteAccess&, const Bindings&)>& fn) {
-  (void)program;
-  const bool hasPar = phase.hasParallelLoop();
-  if (!hasPar) {
-    if (!keep(0)) return;
-  }
-  const std::size_t parPos = hasPar ? phase.parallelLoopPos() : phase.loops().size();
-  const sym::SymbolId parIdx = hasPar ? phase.parallelLoop().index : 0;
-  Bindings b = params;
-  walkWhere(phase, b, 0, parPos, keep, [&](const Bindings& bb) {
-    for (const auto& r : phase.refs()) {
-      ConcreteAccess acc;
-      acc.ref = &r;
-      acc.address = evalInt(r.subscript, bb, "subscript");
-      acc.parallelIter = hasPar ? bb.at(parIdx) : 0;
-      fn(acc, bb);
     }
   });
 }

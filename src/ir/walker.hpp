@@ -36,15 +36,6 @@ void forEachIteration(const Program& program, const Phase& phase, const Bindings
 void forEachAccess(const Program& program, const Phase& phase, const Bindings& params,
                    const std::function<void(const ConcreteAccess&, const Bindings&)>& fn);
 
-/// Like forEachAccess, but walks only iterations of the parallel loop whose
-/// index value satisfies `keep`; the nest is pruned at the parallel level, so
-/// skipped chunks cost nothing. Phases without a parallel loop consult
-/// keep(0) once for the whole nest. This is what lets each of the trace
-/// simulator's processor threads walk exactly its own CYCLIC(p) chunks.
-void forEachAccessWhere(const Program& program, const Phase& phase, const Bindings& params,
-                        const std::function<bool(std::int64_t)>& keep,
-                        const std::function<void(const ConcreteAccess&, const Bindings&)>& fn);
-
 /// All distinct addresses of `array` touched by the phase (any access kind).
 [[nodiscard]] std::vector<std::int64_t> touchedAddresses(const Program& program,
                                                          const Phase& phase,

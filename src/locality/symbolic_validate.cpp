@@ -204,7 +204,7 @@ class SetCache {
 // Per-phase access counting
 // ---------------------------------------------------------------------------
 
-/// Classification recipe of one reference, mirroring sim::RefSlot.
+/// Classification recipe of one reference, mirroring dsm::replayPhase's.
 struct RefInfo {
   std::size_t slot = 0;
   bool privatized = false;
@@ -230,7 +230,7 @@ std::int64_t countApsIn(const ApList& aps, const PeriodicIntervalSet* set,
 /// runs on processor 0 (the simulator's convention for serial phases).
 bool countSerialRegion(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
                        const ir::Bindings& params, std::int64_t processors, SetCache& sets,
-                       dsm::ArrayCounts& out, std::int64_t wordBytes) {
+                       dsm::ArrayCounts& out) {
   ir::Bindings bindings = params;
   const auto aps = collapseTail(phase.loops(), 0, ref.subscript, bindings);
   if (!aps) return false;
@@ -243,7 +243,7 @@ bool countSerialRegion(const ir::Phase& phase, const ir::ArrayRef& ref, const Re
   const std::int64_t local = countApsIn(*aps, set, 0);
   out.local += local;
   out.remote += total - local;
-  out.remoteBytes += (total - local) * wordBytes;
+  out.remoteBytes += (total - local) * dsm::kWordBytes;
   return true;
 }
 
@@ -255,8 +255,7 @@ bool countSerialRegion(const ir::Phase& phase, const ir::ArrayRef& ref, const Re
 /// trip count.
 bool countParallelRegion(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
                          const ir::Bindings& params, const dsm::IterationDistribution& sched,
-                         std::int64_t processors, SetCache& sets, dsm::ArrayCounts& out,
-                         std::int64_t wordBytes) {
+                         std::int64_t processors, SetCache& sets, dsm::ArrayCounts& out) {
   const std::size_t parPos = phase.parallelLoopPos();
   const std::vector<ir::Loop>& loops = phase.loops();
   const sym::SymbolId parSym = loops[parPos].index;
@@ -349,7 +348,7 @@ bool countParallelRegion(const ir::Phase& phase, const ir::ArrayRef& ref, const 
           periodic ? checkedAdd(checkedMul(cycleLocal, trip / lambda), remLocal) : cycleLocal;
       out.local += local;
       out.remote += total - local;
-      out.remoteBytes += (total - local) * wordBytes;
+      out.remoteBytes += (total - local) * dsm::kWordBytes;
       return true;
     }
 
@@ -372,7 +371,7 @@ bool countParallelRegion(const ir::Phase& phase, const ir::ArrayRef& ref, const 
       }
       out.local += local;
       out.remote += total - local;
-      out.remoteBytes += (total - local) * wordBytes;
+      out.remoteBytes += (total - local) * dsm::kWordBytes;
     }
     return true;
   };
@@ -499,8 +498,7 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& par
   SetCache sets;
 
   // Global redistribution jobs, appended after all frontier events (the
-  // simulator pushes frontiers during preparation and globals after the
-  // replay, so they group that way in its output).
+  // observed trace's order, dsm::ObservedTrace).
   struct GlobalJob {
     std::string array;
     std::size_t beforePhase;
@@ -515,7 +513,7 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& par
     obs::Span phaseSpan("symval.phase:" + phase.name(), "symval");
     const dsm::IterationDistribution& sched = plan.iteration[k];
 
-    // Slot assignment and per-reference recipes, mirroring the simulator.
+    // Slot assignment and per-reference recipes, mirroring dsm::replayPhase.
     std::vector<std::string> slotArrays;
     std::map<std::string, std::size_t> slotOf;
     std::vector<RefInfo> refInfos;
@@ -557,28 +555,11 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& par
       }
     }
 
-    // Frontier refreshes: the same closed form the simulator records.
+    // Frontier refreshes: the same closed form the replay records.
     for (const auto& arr : program.arrays()) {
-      const auto hit = plan.halo.find(arr.name);
-      if (hit == plan.halo.end() || hit->second[k] <= 0) continue;
-      if (!phase.reads(arr.name) || phase.isPrivatized(arr.name)) continue;
-      bool writtenElsewhere = false;
-      for (const auto& other : program.phases()) {
-        writtenElsewhere = writtenElsewhere || (&other != &phase && other.writes(arr.name) &&
-                                               !other.isPrivatized(arr.name));
+      if (auto rs = dsm::frontierRefresh(program, params, plan, arr, k)) {
+        result.observed.redistributions.push_back(std::move(*rs));
       }
-      if (!writtenElsewhere) continue;
-      const auto& dist = plan.data.at(arr.name)[k];
-      if (!dist.hasOwner()) continue;
-      const std::int64_t size = evalInt(arr.size, params, "array size");
-      const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
-      dsm::RedistributionStats rs;
-      rs.array = arr.name;
-      rs.beforePhase = k;
-      rs.frontier = true;
-      rs.wordsMoved = 2 * hit->second[k] * boundaries;
-      rs.messages = 2 * boundaries;
-      if (rs.wordsMoved > 0) result.observed.redistributions.push_back(std::move(rs));
     }
 
     // Closed-form access counting, with per-(phase, array) degradation to the
@@ -596,9 +577,9 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& par
       try {
         ok = phase.hasParallelLoop()
                  ? countParallelRegion(phase, phase.refs()[i], info, params, sched, H, sets,
-                                       slots[info.slot], opts.wordBytes)
+                                       slots[info.slot])
                  : countSerialRegion(phase, phase.refs()[i], info, params, H, sets,
-                                     slots[info.slot], opts.wordBytes);
+                                     slots[info.slot]);
       } catch (const AnalysisError&) {
         ok = false;  // overflow or non-integer form: the oracle settles it
       }
@@ -613,7 +594,6 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& par
 
     if (!degraded.empty()) {
       for (const auto& [slot, cause] : degraded) {
-        slots[slot] = dsm::ArrayCounts{};
         for (std::size_t i = 0; i < refInfos.size(); ++i) {
           if (refInfos[i].slot == slot) ++result.enumeratedRegions;
         }
@@ -621,23 +601,13 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& par
                                    "phase=" + phase.name() + " array=" + slotArrays[slot],
                                    "enumerated trace oracle", cause);
       }
-      ir::forEachAccess(program, phase, params,
-                        [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
-                          const std::size_t refIdx =
-                              static_cast<std::size_t>(acc.ref - phase.refs().data());
-                          const RefInfo& info = refInfos[refIdx];
-                          if (degraded.count(info.slot) == 0) return;
-                          const std::int64_t pe =
-                              phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
-                          dsm::ArrayCounts& c = slots[info.slot];
-                          if (info.alwaysLocal() ||
-                              info.dist->isLocal(acc.address, pe, H, info.halo)) {
-                            ++c.local;
-                          } else {
-                            ++c.remote;
-                            c.remoteBytes += opts.wordBytes;
-                          }
-                        });
+      // The enumerating oracle's own per-phase replay settles the counts.
+      dsm::MachineParams machine;
+      machine.processors = H;
+      const dsm::PhaseReplay replay = dsm::replayPhase(program, params, machine, plan, k);
+      for (const auto& [slot, cause] : degraded) {
+        slots[slot] = replay.counts.arrays.at(slotArrays[slot]);
+      }
     }
 
     dsm::PhaseCounts pc;

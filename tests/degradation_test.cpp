@@ -6,7 +6,10 @@
 // byte-identical: no budget, no fault, no "degradation" section.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codes/suite.hpp"
@@ -17,6 +20,7 @@
 #include "lcg/lcg.hpp"
 #include "locality/analysis.hpp"
 #include "locality/privatization.hpp"
+#include "obs/obs.hpp"
 #include "support/budget.hpp"
 #include "support/diagnostics.hpp"
 #include "support/fault.hpp"
@@ -123,7 +127,7 @@ TEST(Degradation, DegradedPipelineStillPassesLocalityValidation) {
   driver::PipelineConfig config;
   config.params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
   config.processors = 4;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
   config.budget.proverSteps = 1;  // exhausts on the first prover step
 
   const driver::PipelineResult result = driver::analyzeAndSimulate(prog, config);
@@ -176,7 +180,7 @@ TEST_F(FaultedPipeline, BatchIsolatesAPoisonedItem) {
   item.program = &prog;
   item.config.params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
   item.config.processors = 4;
-  item.config.traceSimulate = true;
+  item.config.validate = driver::ValidateMode::kTrace;
 
   std::vector<driver::BatchItem> batch(2, item);
   batch[0].label = "first";
@@ -208,7 +212,7 @@ TEST_F(FaultedPipeline, CheckedEntryPointsReturnStatusInsteadOfThrowing) {
   driver::PipelineConfig config;
   config.params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
   config.processors = 4;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
 
   const auto result = driver::analyzeAndSimulateChecked(prog, config);
   ASSERT_FALSE(result.has_value());
@@ -277,6 +281,43 @@ TEST(Cancellation, MidFlightCancelAbortsTheBatchButNotCleanlyFinishedItems) {
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.status().code(), ErrorCode::kCancelled) << r.status().str();
   }
+}
+
+TEST(Cancellation, CancelDuringThePlanReplayStopsTheReplay) {
+  // With no baseline and no validation, the plan replay is the last stage:
+  // no boundary check follows it, so only the replay's own polling can stop
+  // a request cancelled while it enumerates.
+  const auto prog = codes::makeTFFT2();
+  driver::PipelineConfig config;
+  config.params = codes::bindParams(prog, {{"P", 128}, {"Q", 128}});
+  config.processors = 8;
+  config.simulateBaseline = false;
+  config.validate = driver::ValidateMode::kNone;
+  const auto token = std::make_shared<std::atomic<bool>>(false);
+  config.cancel = token;
+
+  // The comm stage's span is recorded as it ends, right before the replay
+  // starts; the canceller fires a little after that.
+  obs::tracer().clear();
+  obs::tracer().enable();
+  std::atomic<bool> finished{false};
+  std::thread canceller([&] {
+    while (!finished.load() && obs::tracer().statsByName().count("pipeline.comm") == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token->store(true);
+  });
+  const auto result = driver::analyzeAndSimulateChecked(prog, config);
+  finished.store(true);
+  canceller.join();
+  obs::tracer().disable();
+  obs::tracer().clear();
+
+  ASSERT_FALSE(result.has_value()) << "the replay ran to completion after the cancel";
+  EXPECT_EQ(result.status().code(), ErrorCode::kCancelled) << result.status().str();
+  EXPECT_NE(result.status().str().find("stage=dsm_model"), std::string::npos)
+      << result.status().str();
 }
 
 // ---------------------------------------------------------------------------

@@ -99,14 +99,14 @@ TEST_F(PipelineTest, MetricsAndTraceMatchSimulation) {
   obs::metrics().reset();
   obs::tracer().clear();
   obs::tracer().enable();
-  config.traceSimulate = true;
+  config.validate = ValidateMode::kTrace;
 
   const auto result = analyzeAndSimulate(prog, config);
   obs::tracer().disable();
   ASSERT_TRUE(result.trace.has_value());
 
-  // The ad.sim traffic counters must equal the simulator's own totals: both
-  // are derived from the same per-shard tallies.
+  // The ad.sim traffic counters must equal the trace's own totals: both are
+  // derived from the plan replay's per-array tallies.
   std::int64_t local = 0;
   std::int64_t remote = 0;
   for (const auto& ph : result.trace->observed.phases) {
@@ -125,13 +125,13 @@ TEST_F(PipelineTest, MetricsAndTraceMatchSimulation) {
         "\"ad.desc.term_unions\"", "\"ad.desc.homogenizations\"", "\"ad.desc.offset_adjustments\"",
         "\"ad.lcg.edges_local\"", "\"ad.lcg.edges_comm\"", "\"ad.lcg.edges_uncoupled\"",
         "\"ad.ilp.variables\"", "\"ad.ilp.equality_constraints\"", "\"ad.ilp.greedy_fallbacks\"",
-        "\"ad.sim.local_accesses\"", "\"ad.sim.remote_accesses\"", "\"ad.sim.barrier_wait_us\"",
-        "\"ad.sim.local_per_proc_phase\"", "\"ad.sim.remote_per_proc_phase\""}) {
+        "\"ad.sim.local_accesses\"", "\"ad.sim.remote_accesses\"", "\"ad.sim.remote_bytes\"",
+        "\"ad.sim.redistributed_words\"", "\"ad.sim.frontier_words\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 
-  // Every pipeline stage produced a span, and the simulator emitted
-  // per-phase spans.
+  // Every pipeline stage produced a span, and the replay emitted per-phase
+  // spans.
   const auto stats = obs::tracer().statsByName();
   for (const char* span : {"pipeline.analyze_and_simulate", "pipeline.lcg", "pipeline.ilp_build",
                            "pipeline.ilp_solve", "pipeline.plan", "pipeline.dsm_model",
@@ -140,7 +140,7 @@ TEST_F(PipelineTest, MetricsAndTraceMatchSimulation) {
   }
   const bool hasPhaseSpan =
       std::any_of(stats.begin(), stats.end(),
-                  [](const auto& kv) { return kv.first.rfind("sim.phase:", 0) == 0; });
+                  [](const auto& kv) { return kv.first.rfind("dsm.phase:", 0) == 0; });
   EXPECT_TRUE(hasPhaseSpan);
 
   // The report embeds the metrics document.

@@ -123,8 +123,7 @@ TEST_F(ProfilerTest, SummaryKeepsSchema) {
   for (const char* needle :
        {"\"schema\": \"ad.profile.v1\"", "\"threads\":", "\"shards\":", "\"lock_wait_us\":",
         "\"intern.expr\"", "\"memo.context\"", "\"memo.registry\"", "\"loc.phase_array\"",
-        "\"queue_wait_us\"", "\"barrier_wait_us\"", "\"idle_us\"", "\"steals\"",
-        "\"helped\""}) {
+        "\"queue_wait_us\"", "\"idle_us\"", "\"steals\"", "\"helped\""}) {
     EXPECT_NE(summary.find(needle), std::string::npos) << "summary lacks " << needle;
   }
 }

@@ -1,12 +1,12 @@
-// Parallel trace simulator: hand-computable locality counts, agreement with
-// the serial DSM simulator, and the Theorem-1/2 cross-check on L and C edges.
+// Trace simulation: hand-computable locality counts, the pipeline's trace
+// (taken from the plan replay) against a standalone replay, frontier events
+// at H = 1, and the Theorem-1/2 cross-check on L and C edges.
 #include <gtest/gtest.h>
 
 #include "codes/suite.hpp"
 #include "codes/tfft2.hpp"
 #include "driver/pipeline.hpp"
 #include "lcg/lcg.hpp"
-#include "sim/owner_map.hpp"
 #include "sim/trace_sim.hpp"
 
 namespace ad::sim {
@@ -116,16 +116,15 @@ TEST(TraceSim, DeterministicAcrossRuns) {
 }
 
 TEST(TraceSim, MatchesSerialSimulatorAcrossTheSuite) {
-  // The serial model simulator and the parallel replay walk the same access
-  // stream against the same plan — their per-phase local/remote tallies must
-  // agree exactly.
+  // The model's per-phase totals and the trace's per-array tallies come from
+  // the same walk — their per-phase local/remote counts must agree exactly.
   for (const auto& code : codes::benchmarkSuite()) {
     const ir::Program prog = code.build();
     driver::PipelineConfig config;
     config.params = codes::bindParams(prog, code.smallParams);
     config.processors = 4;
     config.simulateBaseline = false;
-    config.traceSimulate = true;
+    config.validate = driver::ValidateMode::kTrace;
     const auto result = driver::analyzeAndSimulate(prog, config);
     ASSERT_TRUE(result.trace.has_value()) << code.name;
     ASSERT_EQ(result.planned.phases.size(), result.trace->observed.phases.size()) << code.name;
@@ -138,6 +137,85 @@ TEST(TraceSim, MatchesSerialSimulatorAcrossTheSuite) {
   }
 }
 
+TEST(TraceSim, FrontierRefreshIsObservedButNotChargedAtOneProcessor) {
+  // At H = 1 every block boundary is intra-processor: the cost model charges
+  // no refresh, yet the observed trace still lists the frontier event (the
+  // closed-form validator records the same event, so the oracles agree).
+  const ir::Program prog = makeStencil();
+  dsm::MachineParams machine;
+  machine.processors = 1;
+  const dsm::SimulationResult model = dsm::simulate(prog, {}, machine, stencilPlan(1));
+  EXPECT_TRUE(model.redistributions.empty());
+  ASSERT_EQ(model.observed.redistributions.size(), 1u);
+  const auto& frontier = model.observed.redistributions[0];
+  EXPECT_TRUE(frontier.frontier);
+  EXPECT_EQ(frontier.array, "A");
+  EXPECT_EQ(frontier.beforePhase, 1u);
+  EXPECT_EQ(frontier.wordsMoved, 2);
+  EXPECT_EQ(frontier.messages, 2);
+  EXPECT_EQ(frontier.time, 0.0);
+
+  SimOptions opts;
+  opts.processors = 1;
+  const TraceResult r = simulateTrace(prog, {}, stencilPlan(1), opts);
+  ASSERT_EQ(r.observed.redistributions.size(), 1u);
+  EXPECT_TRUE(r.observed.redistributions[0].frontier);
+  EXPECT_EQ(r.observed.phases[1].arrays.at("A").remote, 0);
+}
+
+TEST(TraceSim, ObservedTraceListsFrontiersBeforeGlobalRedistributions) {
+  // A halo read in phase 2 and a distribution change entering it: the model
+  // charges the global move first (execution order), the observed trace
+  // lists the frontier refresh first.
+  const ir::Program prog = makeStencil();
+  dsm::ExecutionPlan plan = stencilPlan(1);
+  plan.data["A"][1] = dsm::DataDistribution::blockCyclic(2);
+  dsm::MachineParams machine;
+  machine.processors = 2;
+  const dsm::SimulationResult model = dsm::simulate(prog, {}, machine, plan);
+  ASSERT_EQ(model.redistributions.size(), 2u);
+  EXPECT_FALSE(model.redistributions[0].frontier);
+  EXPECT_TRUE(model.redistributions[1].frontier);
+  ASSERT_EQ(model.observed.redistributions.size(), 2u);
+  EXPECT_TRUE(model.observed.redistributions[0].frontier);
+  EXPECT_FALSE(model.observed.redistributions[1].frontier);
+  EXPECT_EQ(model.observed.redistributions[1].wordsMoved, model.redistributions[0].wordsMoved);
+}
+
+TEST(TraceSim, PipelineTraceEqualsStandaloneReplayAcrossTheSuite) {
+  // The pipeline's trace stage reuses the plan replay's tally when the plan
+  // was simulated, and replays once itself when it was not. Either way the
+  // trace must be byte-equal to a standalone simulateTrace of the same plan.
+  for (const bool simulatePlan : {true, false}) {
+    for (const auto& code : codes::benchmarkSuite()) {
+      const ir::Program prog = code.build();
+      driver::PipelineConfig config;
+      config.params = codes::bindParams(prog, code.smallParams);
+      config.processors = 4;
+      config.simulatePlan = simulatePlan;
+      config.simulateBaseline = false;
+      config.validate = driver::ValidateMode::kTrace;
+      const auto result = driver::analyzeAndSimulate(prog, config);
+      ASSERT_TRUE(result.trace.has_value()) << code.name;
+
+      SimOptions opts;
+      opts.processors = config.processors;
+      const TraceResult standalone = simulateTrace(prog, config.params, result.plan, opts);
+      EXPECT_EQ(result.trace->str(), standalone.str())
+          << code.name << " simulatePlan=" << simulatePlan;
+      EXPECT_EQ(result.trace->totalAccesses, standalone.totalAccesses) << code.name;
+      ASSERT_EQ(result.trace->observed.phases.size(), standalone.observed.phases.size());
+      for (std::size_t k = 0; k < standalone.observed.phases.size(); ++k) {
+        for (const auto& [array, c] : standalone.observed.phases[k].arrays) {
+          EXPECT_EQ(result.trace->observed.phases[k].arrays.at(array).remoteBytes,
+                    c.remoteBytes)
+              << code.name << " phase " << k << " array " << array;
+        }
+      }
+    }
+  }
+}
+
 TEST(ValidateLocality, LEdgeAgreesUnderTheDerivedPlan) {
   // The stencil's A edge (produce -> smooth) is L: with the derived plan the
   // trace must be communication-free on it.
@@ -145,7 +223,7 @@ TEST(ValidateLocality, LEdgeAgreesUnderTheDerivedPlan) {
   driver::PipelineConfig config;
   config.processors = 2;
   config.simulateBaseline = false;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
   const auto result = driver::analyzeAndSimulate(prog, config);
   ASSERT_TRUE(result.localityCheck.has_value());
   EXPECT_TRUE(result.localityCheck->ok()) << result.localityCheck->str();
@@ -189,7 +267,7 @@ TEST(ValidateLocality, CEdgesOfTFFT2CarryObservedCommunication) {
   config.params = codes::bindParams(prog, {{"P", 16}, {"Q", 16}});
   config.processors = 4;
   config.simulateBaseline = false;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
   const auto result = driver::analyzeAndSimulate(prog, config);
   ASSERT_TRUE(result.localityCheck.has_value());
   EXPECT_TRUE(result.localityCheck->ok()) << result.localityCheck->str();
@@ -202,22 +280,6 @@ TEST(ValidateLocality, CEdgesOfTFFT2CarryObservedCommunication) {
   }
   EXPECT_GE(commEdgesWithTraffic, 1);
   EXPECT_GE(storageEvents, 1);
-}
-
-TEST(OwnerMap, MatchesArithmeticOwnersIncludingFoldedForm) {
-  const std::int64_t H = 3;
-  const dsm::DataDistribution folded = dsm::DataDistribution::foldedBlockCyclic(4, 32);
-  const OwnerMap map(folded, 70, H);
-  ASSERT_TRUE(map.hasOwner());
-  for (std::int64_t a = 0; a < 90; ++a) {  // past size(): arithmetic fallback
-    EXPECT_EQ(map.owner(a), folded.owner(a, H)) << "addr " << a;
-  }
-  for (std::int64_t a = 0; a < 70; ++a) {
-    for (std::int64_t pe = 0; pe < H; ++pe) {
-      EXPECT_EQ(map.isLocal(a, pe, 1), folded.isLocal(a, pe, H, 1))
-          << "addr " << a << " pe " << pe;
-    }
-  }
 }
 
 }  // namespace
