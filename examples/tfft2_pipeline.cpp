@@ -10,8 +10,8 @@
 // simulated execution against the naive baseline, and a Graphviz rendering
 // of the LCG (pipe the last section into `dot -Tpng`).
 //
-// With --simulate, additionally takes the observed local/remote traffic from
-// the plan replay (one serial pass over every access) and cross-checks it
+// With --simulate, additionally replays the plan (one serial pass over every
+// access), takes its observed local/remote traffic and cross-checks it
 // against the Theorem-1/2 edge labels.
 // --validate picks the oracle explicitly: trace (the enumerating replay),
 // symbolic (closed-form interval counts, O(descriptors)), or both

@@ -163,14 +163,19 @@ fault() {
 symval() {
   # Differential gate for the closed-form validator: the symbolic oracle must
   # reproduce the enumerating simulator's observed trace byte-for-byte on
-  # every suite code (tests/symval_test.cpp), and the scale bench must hold
-  # its <100 ms bound at P=64 while emitting BENCH_symval.json, whose schema
-  # is validated here.
+  # every suite code (tests/symval_test.cpp), a paper-scale run must finish
+  # under a timeout, and the scale bench must hold its <100 ms bound at P=64
+  # while emitting BENCH_symval.json, whose schema is validated here.
   echo "=== symval: symbolic-vs-trace differential + scale bench ==="
   cmake -B build -S .
   cmake --build build -j "$jobs" --target symval_test symbolic_validation tfft2_pipeline
   ./build/tests/symval_test
   ./build/examples/tfft2_pipeline 8 8 4 --validate=both >/dev/null
+  # Paper scale: the closed-form cost model and symval must finish TFFT2 at
+  # P = Q = 1024 on 8 PEs well inside a minute. A cost model that regressed to
+  # enumerating every access (minutes at this size) fails here instead of
+  # hiding behind the small test sizes.
+  timeout 60 ./build/examples/tfft2_pipeline 1024 1024 8 --validate=symbolic >/dev/null
   ./build/bench/symbolic_validation
   python3 - <<'EOF'
 import json

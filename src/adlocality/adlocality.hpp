@@ -11,7 +11,7 @@
 //   lcg::        the Locality-Communication Graph
 //   ilp::        the Table-2 integer program and its exact solver
 //   comm::       put-schedule generation (global / frontier, aggregated)
-//   dsm::        the DSM machine model and execution simulator
+//   dsm::        the DSM cost model (closed form) and its enumerating replay
 //   codes::      the benchmark suite (six 1999 codes + AI/HPC kernels)
 //   driver::     the end-to-end pipeline
 //

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 
+#include "dsm/closed_form.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::comm {
@@ -51,25 +52,32 @@ std::string CommSchedule::str() const {
 
 namespace {
 
-/// Groups (src, dst, addr) triples into aggregated messages with coalesced
-/// contiguous ranges. `moves` must be sorted by (src, dst, addr).
-std::vector<Message> aggregate(
-    std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves) {
-  std::sort(moves.begin(), moves.end());
-  std::vector<Message> out;
-  for (const auto& [src, dst, addr] : moves) {
-    if (out.empty() || out.back().src != src || out.back().dst != dst) {
-      out.push_back(Message{src, dst, {}});
-    }
-    auto& ranges = out.back().ranges;
-    if (!ranges.empty() && ranges.back().end == addr) {
-      ++ranges.back().end;  // extend the current run
+/// Per-(src, dst) range lists, filled in address order and emitted as
+/// messages in (src, dst) order with contiguous ranges coalesced.
+class Aggregator {
+ public:
+  /// Adds [begin, end) to the src -> dst message. Ranges of one pair must
+  /// arrive with non-decreasing begins; touching or overlapping ones merge.
+  void add(std::int64_t src, std::int64_t dst, std::int64_t begin, std::int64_t end) {
+    auto& ranges = ranges_[{src, dst}];
+    if (!ranges.empty() && ranges.back().end >= begin) {
+      ranges.back().end = std::max(ranges.back().end, end);
     } else {
-      ranges.push_back(Range{addr, addr + 1});
+      ranges.push_back(Range{begin, end});
     }
   }
-  return out;
-}
+
+  [[nodiscard]] std::vector<Message> messages() && {
+    std::vector<Message> out;
+    for (auto& [pair, ranges] : ranges_) {
+      out.push_back(Message{pair.first, pair.second, std::move(ranges)});
+    }
+    return out;
+  }
+
+ private:
+  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Range>> ranges_;
+};
 
 }  // namespace
 
@@ -78,13 +86,13 @@ CommSchedule generateGlobal(const std::string& array, std::int64_t size,
                             std::int64_t processors) {
   AD_REQUIRE(from.hasOwner() && to.hasOwner(),
              "global redistribution requires owner-bearing endpoints");
-  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
-  for (std::int64_t a = 0; a < size; ++a) {
-    const std::int64_t src = from.owner(a, processors);
-    const std::int64_t dst = to.owner(a, processors);
-    if (src != dst) moves.emplace_back(src, dst, a);
-  }
-  return CommSchedule(array, Pattern::kGlobal, aggregate(std::move(moves)));
+  Aggregator moves;
+  dsm::forEachOwnerRun(from, to, processors, 0, size,
+                       [&](std::int64_t begin, std::int64_t end, std::int64_t src,
+                           std::int64_t dst) {
+                         if (src != dst) moves.add(src, dst, begin, end);
+                       });
+  return CommSchedule(array, Pattern::kGlobal, std::move(moves).messages());
 }
 
 CommSchedule generateFrontier(const std::string& array, std::int64_t size,
@@ -93,7 +101,7 @@ CommSchedule generateFrontier(const std::string& array, std::int64_t size,
   AD_REQUIRE(dist.kind == dsm::DataDistribution::Kind::kBlockCyclic,
              "frontier update requires a BLOCK-CYCLIC distribution");
   AD_REQUIRE(overlap >= 1, "overlap width must be positive");
-  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
+  Aggregator moves;
   // The owner of each block refreshes its replicated copy of the first
   // `overlap` elements of the following block, which the next owner holds.
   for (std::int64_t blockStart = 0; blockStart < size; blockStart += dist.block) {
@@ -102,10 +110,9 @@ CommSchedule generateFrontier(const std::string& array, std::int64_t size,
     const std::int64_t dst = dist.owner(blockStart, processors);
     const std::int64_t src = dist.owner(nextStart, processors);
     if (src == dst) continue;
-    const std::int64_t end = std::min(size, nextStart + overlap);
-    for (std::int64_t a = nextStart; a < end; ++a) moves.emplace_back(src, dst, a);
+    moves.add(src, dst, nextStart, std::min(size, nextStart + overlap));
   }
-  return CommSchedule(array, Pattern::kFrontier, aggregate(std::move(moves)));
+  return CommSchedule(array, Pattern::kFrontier, std::move(moves).messages());
 }
 
 bool verifiesRedistribution(const CommSchedule& schedule, std::int64_t size,

@@ -16,12 +16,6 @@ namespace ad::driver {
 
 namespace {
 
-std::int64_t evalInt(const sym::Expr& e, const ir::Bindings& params, const char* what) {
-  const Rational r = e.evaluate(params);
-  if (!r.isInteger()) throw AnalysisError(std::string(what) + " is not integral");
-  return r.asInteger();
-}
-
 /// Chunk size for phase k: ILP solution if available, greedy BLOCK otherwise.
 std::int64_t chunkFor(const ir::Program& program, const ilp::Model& model,
                       const ilp::Solution& solution, std::size_t k, const ir::Bindings& params,
@@ -45,12 +39,12 @@ dsm::DataDistribution nodeDistribution(const lcg::Node& node, std::int64_t chunk
                                        const ir::Bindings& params) {
   std::int64_t block = std::max<std::int64_t>(1, chunk);
   if (node.info->side) {
-    const std::int64_t slope = evalInt(node.info->side->slope, params, "slope");
+    const std::int64_t slope = ir::evalInt(node.info->side->slope, params, "slope");
     if (slope > 0) block = checkedMul(slope, chunk);
   }
   for (const auto& s : node.info->storage) {
     if (s.kind == loc::StorageConstraint::Kind::kReverse) {
-      const std::int64_t fold = evalInt(s.distance, params, "reverse distance");
+      const std::int64_t fold = ir::evalInt(s.distance, params, "reverse distance");
       if (fold >= 1) return dsm::DataDistribution::foldedBlockCyclic(block, fold);
     }
   }
@@ -86,8 +80,9 @@ dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
     }
 
     std::vector<dsm::DataDistribution> dists(
-        numPhases, dsm::DataDistribution::blocked(
-                       evalInt(program.array(g.array).size, params, "array size"), processors));
+        numPhases,
+        dsm::DataDistribution::blocked(
+            ir::evalInt(program.array(g.array).size, params, "array size"), processors));
     // Per-phase target distribution: chain heads fix the distribution for
     // the whole chain, except that reverse-storage nodes get their own
     // folded segment (entered by an explicit redistribution).
@@ -134,7 +129,7 @@ dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
       if (terms.empty() || !node.info->id.uniformParallelStride()) continue;
       try {
         const std::int64_t a =
-            std::abs(evalInt(terms[0].deltaP, params, "parallel stride"));
+            std::abs(ir::evalInt(terms[0].deltaP, params, "parallel stride"));
         if (a == 0) continue;
         // Per-term reach beyond the iteration tile [0, a). Stencil-scale
         // reach (<= 2a) becomes replicated halo; far-shifted copies (the
@@ -148,12 +143,12 @@ dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
         // refresh at the full overlap distance.
         std::optional<std::int64_t> overlapWidth;
         if (node.info->overlapDistance) {
-          overlapWidth = evalInt(*node.info->overlapDistance, params, "overlap width");
+          overlapWidth = ir::evalInt(*node.info->overlapDistance, params, "overlap width");
         }
         std::int64_t halo = 0;
         for (const auto& t : terms) {
-          const std::int64_t base = evalInt(t.tau0, params, "term base");
-          const std::int64_t top = base + evalInt(t.seqSpan, params, "term span");
+          const std::int64_t base = ir::evalInt(t.tau0, params, "term base");
+          const std::int64_t top = base + ir::evalInt(t.seqSpan, params, "term span");
           const std::int64_t reach =
               std::max<std::int64_t>({0, top - (a - 1), -base});
           if (reach <= 2 * a || (overlapWidth && reach <= *overlapWidth)) {
@@ -185,7 +180,7 @@ dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
         if (halo > 0 && !lPromise && !haloForced) {
           const auto& dist = plan.data.at(g.array)[node.phase];
           if (dist.hasOwner()) {
-            const std::int64_t size = evalInt(program.array(g.array).size, params, "size");
+            const std::int64_t size = ir::evalInt(program.array(g.array).size, params, "size");
             const std::int64_t boundaries =
                 std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
             const double refresh =
@@ -226,6 +221,8 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
   obs::metrics().counter("ad.symval.regions_enumerated");
   obs::metrics().counter("ad.symval.redistributed_words");
   obs::metrics().counter("ad.symval.frontier_words");
+  obs::metrics().counter("ad.dsm.phases_closed_form");
+  obs::metrics().counter("ad.dsm.phases_replayed");
 
   // The run's budget (when one is configured) and degradation ledger. The
   // scopes are thread-local here; ThreadPool::submit forwards them to every
@@ -286,7 +283,8 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     ErrorContext stage("stage", "comm");
     support::throwIfCancelled();
     for (const auto& [array, dists] : plan.data) {
-      const std::int64_t size = evalInt(program.array(array).size, config.params, "array size");
+      const std::int64_t size =
+          ir::evalInt(program.array(array).size, config.params, "array size");
       for (std::size_t k = 1; k < dists.size(); ++k) {
         if (dists[k - 1] == dists[k]) continue;
         if (!dists[k - 1].hasOwner() || !dists[k].hasOwner()) continue;
@@ -330,14 +328,9 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     obs::Span s("pipeline.trace_sim");
     ErrorContext stage("stage", "trace_sim");
     support::throwIfCancelled();
-    if (config.simulatePlan) {
-      // The plan replay above already enumerated every access.
-      result.trace = sim::traceOfReplay(result.planned.observed, config.processors);
-    } else {
-      sim::SimOptions so;
-      so.processors = config.processors;
-      result.trace = sim::simulateTrace(program, config.params, result.plan, so);
-    }
+    sim::SimOptions so;
+    so.processors = config.processors;
+    result.trace = sim::simulateTrace(program, config.params, result.plan, so);
   }
   if (mode == ValidateMode::kSymbolic || mode == ValidateMode::kBoth) {
     obs::Span s("pipeline.symval");

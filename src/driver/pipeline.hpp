@@ -3,7 +3,7 @@
 //   program --(descriptors)--> LCG --(Table-2 model)--> ILP solution
 //           --(plan derivation)--> iteration/data distributions
 //           --(comm generation)--> put schedules for every redistribution
-//           --(DSM simulation)--> measured locality and parallel efficiency,
+//           --(DSM cost model)--> counted locality and parallel efficiency,
 //                                 against the naive BLOCK baseline.
 //
 // Plan derivation follows Section 4.3: every chain of L edges shares one
@@ -44,9 +44,9 @@ struct PipelineConfig {
   ilp::CostParams costs;
   dsm::MachineParams machine;     ///< machine.processors is overridden by `processors`
 
-  /// Replay the derived plan on the DSM cost model. Disable for analysis-only
-  /// runs (the batched engine and the scaling bench), which need the LCG /
-  /// ILP / plan but not the measured efficiencies.
+  /// Cost the derived plan on the DSM cost model (closed form). Disable for
+  /// analysis-only runs (the batched engine and the scaling bench), which
+  /// need the LCG / ILP / plan but not the measured efficiencies.
   bool simulatePlan = true;
 
   /// Also simulate the naive BLOCK/BLOCK baseline for comparison.
@@ -54,8 +54,8 @@ struct PipelineConfig {
 
   /// Trace-validation oracle selection (`--validate=trace|symbolic|both`;
   /// `--simulate` is kTrace): cross-check the observed communication against
-  /// the LCG's Theorem-1/2 edge labels. The enumerated trace is the plan
-  /// replay's own tally when simulatePlan is on, one extra replay otherwise.
+  /// the LCG's Theorem-1/2 edge labels. The trace oracle always enumerates
+  /// (one dsm::replay of the plan); the symbolic one counts in closed form.
   ValidateMode validate = ValidateMode::kNone;
 
   /// Worker threads for the batched engine (analyzeBatch). Within a single

@@ -1,41 +1,15 @@
 #include "dsm/machine.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
+#include "dsm/closed_form.hpp"
 #include "obs/obs.hpp"
 #include "support/budget.hpp"
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::dsm {
-
-namespace {
-
-std::int64_t evalInt(const sym::Expr& e, const ir::Bindings& params, const char* what) {
-  const Rational r = e.evaluate(params);
-  if (!r.isInteger()) throw AnalysisError(std::string(what) + " is not integral");
-  return r.asInteger();
-}
-
-/// How one reference's accesses are classified in one phase.
-struct RefRecipe {
-  std::size_t slot = 0;                    ///< index into the phase's array slots
-  const DataDistribution* dist = nullptr;  ///< null: privatized (always local)
-  std::int64_t halo = 0;                   ///< replicated frontier width (reads only)
-};
-
-/// Cost of one aggregated communication event. Aggregated puts proceed in
-/// parallel across processors: the critical path carries ~1/H of the volume
-/// and messages.
-double putTime(const RedistributionStats& rs, const MachineParams& machine) {
-  return (static_cast<double>(rs.messages) * machine.putLatency +
-          static_cast<double>(rs.wordsMoved) * machine.perWord) /
-         static_cast<double>(machine.processors);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Distributions
@@ -211,7 +185,7 @@ std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
   if (!writtenElsewhere) return std::nullopt;
   const DataDistribution& dist = plan.data.at(array.name)[phase];
   if (!dist.hasOwner()) return std::nullopt;
-  const std::int64_t size = evalInt(array.size, params, "array size");
+  const std::int64_t size = ir::evalInt(array.size, params, "array size");
   const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
   RedistributionStats rs;
   rs.array = array.name;
@@ -223,129 +197,151 @@ std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
   return rs;
 }
 
-PhaseReplay replayPhase(const ir::Program& program, const ir::Bindings& params,
-                        const MachineParams& machine, const ExecutionPlan& plan,
-                        std::size_t phase) {
-  const ir::Phase& ph = program.phase(phase);
-  obs::Span span("dsm.phase:" + ph.name(), "dsm");
-  const std::int64_t H = machine.processors;
+namespace {
 
-  // Per-reference recipes, so the per-access path does no map lookups.
-  std::vector<std::string> slotArrays;  // distinct arrays, first-reference order
-  std::vector<RefRecipe> recipes;       // parallel to ph.refs()
-  for (const auto& r : ph.refs()) {
-    RefRecipe rr;
-    const auto seen = std::find(slotArrays.begin(), slotArrays.end(), r.array);
-    rr.slot = static_cast<std::size_t>(seen - slotArrays.begin());
-    if (seen == slotArrays.end()) slotArrays.push_back(r.array);
-    if (!ph.isPrivatized(r.array)) {
-      const auto it = plan.data.find(r.array);
-      AD_REQUIRE(it != plan.data.end(), "plan missing array " + r.array);
-      rr.dist = &it->second[phase];
-      // Halo replicas serve reads only (Theorem 1c: overlap must be
-      // read-only to stay consistent without updates).
-      if (r.kind == ir::AccessKind::kRead) {
-        if (auto hit = plan.halo.find(r.array); hit != plan.halo.end()) {
-          rr.halo = hit->second[phase];
-        }
-      }
-    }
-    recipes.push_back(rr);
+/// Cost of one aggregated communication event. Aggregated puts proceed in
+/// parallel across processors: the critical path carries ~1/H of the volume
+/// and messages.
+double putTime(const RedistributionStats& rs, const MachineParams& machine) {
+  return (static_cast<double>(rs.messages) * machine.putLatency +
+          static_cast<double>(rs.wordsMoved) * machine.perWord) /
+         static_cast<double>(machine.processors);
+}
+
+using RedistributionCounter = void (*)(const DataDistribution&, const DataDistribution&,
+                                       std::int64_t, std::int64_t, std::int64_t&,
+                                       std::int64_t&);
+
+/// Words and messages of one redistribution, element by element: the
+/// replay's twin of countRedistribution.
+void enumerateRedistribution(const DataDistribution& from, const DataDistribution& to,
+                             std::int64_t size, std::int64_t processors, std::int64_t& words,
+                             std::int64_t& messages) {
+  std::vector<char> paired(static_cast<std::size_t>(processors * processors), 0);
+  words = 0;
+  messages = 0;
+  for (std::int64_t a = 0; a < size; ++a) {
+    const std::int64_t src = from.owner(a, processors);
+    const std::int64_t dst = to.owner(a, processors);
+    if (src == dst) continue;
+    ++words;
+    char& seen = paired[static_cast<std::size_t>(src * processors + dst)];
+    messages += seen == 0 ? 1 : 0;
+    seen = 1;
   }
+}
 
+std::optional<RedistributionStats> redistributionBefore(const ir::Program& program,
+                                                        const ir::Bindings& params,
+                                                        const ExecutionPlan& plan,
+                                                        const ir::ArrayDecl& array,
+                                                        std::size_t phase,
+                                                        std::int64_t processors,
+                                                        RedistributionCounter count) {
+  if (phase == 0) return std::nullopt;
+  const auto it = plan.data.find(array.name);
+  if (it == plan.data.end()) return std::nullopt;
+  const DataDistribution& prev = it->second[phase - 1];
+  const DataDistribution& next = it->second[phase];
+  if (prev == next) return std::nullopt;
+  // Entering/leaving private scratch moves no shared data.
+  if (!prev.hasOwner() || !next.hasOwner()) return std::nullopt;
+  // Dead values: re-allocation only, no copies.
+  if (!redistributionMovesData(program, array.name, phase)) return std::nullopt;
+  RedistributionStats rs;
+  rs.array = array.name;
+  rs.beforePhase = phase;
+  count(prev, next, ir::evalInt(array.size, params, "array size"), processors, rs.wordsMoved,
+        rs.messages);
+  if (rs.wordsMoved == 0) return std::nullopt;
+  return rs;
+}
+
+/// Charges one phase's counts. Cycles are count x cost, once per processor
+/// per phase: compute work scales with the phase's per-access weight, and
+/// remoteness adds a flat network penalty on top.
+PhaseReplay chargePhase(const ir::Phase& ph, const PhaseRecipe& recipe, const PhaseTally& tally,
+                        const MachineParams& machine) {
+  const double localCost = machine.localAccess * ph.workPerAccess();
+  const double remoteCost = localCost + machine.remoteAccess;
   PhaseReplay out;
   PhaseStats& ps = out.stats;
   ps.phase = ph.name();
-  ps.peTime.assign(static_cast<std::size_t>(H), 0.0);
-  std::vector<ArrayCounts> slots(slotArrays.size());
-  const IterationDistribution& sched = plan.iteration[phase];
-  const bool parallel = ph.hasParallelLoop();
-  // Compute work scales with the phase's per-access weight; remoteness adds a
-  // flat network penalty on top.
-  const double localCost = machine.localAccess * ph.workPerAccess();
-  const double remoteCost = localCost + machine.remoteAccess;
   std::int64_t accesses = 0;
-  ir::forEachAccess(program, ph, params, [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
-    // A cancelled request stops within 4096 accesses, not after the phase.
-    if ((accesses++ & 0xFFF) == 0) support::throwIfCancelled();
-    const RefRecipe& rr = recipes[static_cast<std::size_t>(acc.ref - ph.refs().data())];
-    const std::int64_t pe = parallel ? sched.executor(acc.parallelIter, H) : 0;
-    ArrayCounts& c = slots[rr.slot];
-    double& peTime = ps.peTime[static_cast<std::size_t>(pe)];
-    if (rr.dist == nullptr || rr.dist->isLocal(acc.address, pe, H, rr.halo)) {
-      peTime += localCost;
-      ++c.local;
-    } else {
-      peTime += remoteCost;
-      ++c.remote;
-      c.remoteBytes += kWordBytes;
-    }
-    ps.seqTime += localCost;
-  });
+  for (const PeCounts& pe : tally.pes) {
+    ps.peTime.push_back(static_cast<double>(pe.local) * localCost +
+                        static_cast<double>(pe.remote) * remoteCost);
+    accesses += pe.local + pe.remote;
+  }
   ps.time = *std::max_element(ps.peTime.begin(), ps.peTime.end());
-
+  ps.seqTime = static_cast<double>(accesses) * localCost;
   out.counts.phase = ph.name();
-  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
-    ps.localAccesses += slots[slot].local;
-    ps.remoteAccesses += slots[slot].remote;
-    out.counts.arrays.emplace(slotArrays[slot], slots[slot]);
+  for (std::size_t slot = 0; slot < recipe.arrays.size(); ++slot) {
+    ps.localAccesses += tally.arrays[slot].local;
+    ps.remoteAccesses += tally.arrays[slot].remote;
+    out.counts.arrays.emplace(recipe.arrays[slot], tally.arrays[slot]);
   }
   return out;
 }
 
-SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
-                          const MachineParams& machine, const ExecutionPlan& plan) {
-  obs::Span span("dsm.simulate");
+/// Phase `phase` in closed form, or replayed when one of its regions does
+/// not collapse (the result is exact either way).
+PhaseReplay closedFormPhase(const ir::Program& program, const ir::Bindings& params,
+                            const MachineParams& machine, const ExecutionPlan& plan,
+                            std::size_t phase, LocalitySets& sets) {
+  support::throwIfCancelled();
+  const PhaseRecipe recipe = phaseRecipe(program, plan, phase);
+  PhaseTally tally(recipe.arrays.size(), machine.processors);
+  bool collapsed = true;
+  for (std::size_t i = 0; i < recipe.refs.size() && collapsed; ++i) {
+    try {
+      collapsed = countReference(program, params, plan, phase, i, recipe, machine.processors,
+                                 sets, tally);
+    } catch (const AnalysisError&) {
+      collapsed = false;  // a non-integral form: the replay settles (or reports) it
+    }
+  }
+  if (!collapsed) {
+    support::throwIfCancelled();  // a refused budget step may mean the caller cancelled
+    obs::metrics().counter("ad.dsm.phases_replayed").add(1);
+    return replayPhase(program, params, machine, plan, phase);
+  }
+  obs::metrics().counter("ad.dsm.phases_closed_form").add(1);
+  return chargePhase(program.phase(phase), recipe, tally, machine);
+}
+
+/// Runs the phases in order with the communication between them; phases are
+/// counted in closed form or replayed, redistributions counted by owner runs
+/// or element by element.
+SimulationResult run(const ir::Program& program, const ir::Bindings& params,
+                     const MachineParams& machine, const ExecutionPlan& plan, bool closedForm) {
   AD_REQUIRE(plan.iteration.size() == program.phases().size(),
              "plan must cover every phase");
   const std::int64_t H = machine.processors;
   SimulationResult result;
+  LocalitySets sets;
   // The observed trace lists global redistributions after every frontier
   // refresh; they are collected here and appended at the end.
   std::vector<RedistributionStats> observedGlobals;
 
   for (std::size_t k = 0; k < program.phases().size(); ++k) {
     // Redistributions: any array whose distribution changes entering phase k.
-    if (k > 0) {
-      for (const auto& arr : program.arrays()) {
-        const auto it = plan.data.find(arr.name);
-        if (it == plan.data.end()) continue;
-        const DataDistribution& prev = it->second[k - 1];
-        const DataDistribution& next = it->second[k];
-        if (prev == next) continue;
-        if (!prev.hasOwner() || !next.hasOwner()) {
-          continue;  // entering/leaving private scratch moves no shared data
-        }
-        if (!redistributionMovesData(program, arr.name, k)) {
-          continue;  // dead values: re-allocation only, no copies
-        }
-        RedistributionStats rs;
-        rs.array = arr.name;
-        rs.beforePhase = k;
-        const std::int64_t size = evalInt(arr.size, params, "array size");
-        std::set<std::pair<std::int64_t, std::int64_t>> pairs;
-        for (std::int64_t a = 0; a < size; ++a) {
-          const std::int64_t src = prev.owner(a, H);
-          const std::int64_t dst = next.owner(a, H);
-          if (src == dst) continue;
-          ++rs.wordsMoved;
-          pairs.insert({src, dst});
-        }
-        rs.messages = static_cast<std::int64_t>(pairs.size());
-        if (rs.wordsMoved == 0) continue;
-        observedGlobals.push_back(rs);
-        rs.time = putTime(rs, machine);
-        result.redistributions.push_back(std::move(rs));
-      }
+    for (const auto& arr : program.arrays()) {
+      auto rs = redistributionBefore(program, params, plan, arr, k, H,
+                                     closedForm ? countRedistribution : enumerateRedistribution);
+      if (!rs) continue;
+      observedGlobals.push_back(*rs);
+      rs->time = putTime(*rs, machine);
+      result.redistributions.push_back(std::move(*rs));
     }
 
     // Frontier refreshes: before a phase reading an array through a halo,
     // the owners push the replicated overlap regions (aggregated puts). With
     // a single processor every block boundary is intra-processor — the
     // "refresh" would be a self-put moving nothing over the network — so the
-    // cost model charges it only for H >= 2 (the element-exact
-    // redistribution loop above gets this for free from its src == dst
-    // owner check). The observed trace still lists it.
+    // cost model charges it only for H >= 2 (global redistributions get this
+    // for free from their src == dst owner check). The observed trace still
+    // lists it.
     for (const auto& arr : program.arrays()) {
       auto rs = frontierRefresh(program, params, plan, arr, k);
       if (!rs) continue;
@@ -356,12 +352,77 @@ SimulationResult simulate(const ir::Program& program, const ir::Bindings& params
       }
     }
 
-    PhaseReplay replay = replayPhase(program, params, machine, plan, k);
-    result.phases.push_back(std::move(replay.stats));
-    result.observed.phases.push_back(std::move(replay.counts));
+    PhaseReplay phase = closedForm ? closedFormPhase(program, params, machine, plan, k, sets)
+                                   : replayPhase(program, params, machine, plan, k);
+    result.phases.push_back(std::move(phase.stats));
+    result.observed.phases.push_back(std::move(phase.counts));
   }
   for (auto& rs : observedGlobals) result.observed.redistributions.push_back(std::move(rs));
   return result;
+}
+
+}  // namespace
+
+std::optional<RedistributionStats> globalRedistribution(const ir::Program& program,
+                                                        const ir::Bindings& params,
+                                                        const ExecutionPlan& plan,
+                                                        const ir::ArrayDecl& array,
+                                                        std::size_t phase,
+                                                        std::int64_t processors) {
+  return redistributionBefore(program, params, plan, array, phase, processors,
+                              countRedistribution);
+}
+
+PhaseReplay replayPhase(const ir::Program& program, const ir::Bindings& params,
+                        const MachineParams& machine, const ExecutionPlan& plan,
+                        std::size_t phase) {
+  const ir::Phase& ph = program.phase(phase);
+  obs::Span span("dsm.phase:" + ph.name(), "dsm");
+  const std::int64_t H = machine.processors;
+  const PhaseRecipe recipe = phaseRecipe(program, plan, phase);
+  PhaseTally tally(recipe.arrays.size(), H);
+  const IterationDistribution& sched = plan.iteration[phase];
+  const bool parallel = ph.hasParallelLoop();
+  std::int64_t accesses = 0;
+  ir::forEachAccess(program, ph, params, [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
+    // A cancelled request stops within 4096 accesses, not after the phase.
+    if ((accesses++ & 0xFFF) == 0) support::throwIfCancelled();
+    const RefRecipe& rr = recipe.refs[static_cast<std::size_t>(acc.ref - ph.refs().data())];
+    const std::int64_t pe = parallel ? sched.executor(acc.parallelIter, H) : 0;
+    ArrayCounts& c = tally.arrays[rr.slot];
+    PeCounts& p = tally.pes[static_cast<std::size_t>(pe)];
+    if (rr.dist == nullptr || rr.dist->isLocal(acc.address, pe, H, rr.halo)) {
+      ++p.local;
+      ++c.local;
+    } else {
+      ++p.remote;
+      ++c.remote;
+      c.remoteBytes += kWordBytes;
+    }
+  });
+  return chargePhase(ph, recipe, tally, machine);
+}
+
+SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
+                          const MachineParams& machine, const ExecutionPlan& plan) {
+  obs::Span span("dsm.simulate");
+  // A budget of its own, with no step or deadline limits: the cost model
+  // charges the caller's analysis budget nothing and never degrades, yet a
+  // cancelled caller still stops it (the token is shared). Without a token
+  // there is nothing to observe, and no budget at all is the cheapest.
+  const support::Budget* caller = support::Budget::current();
+  std::optional<support::Budget> own;
+  if (caller != nullptr && caller->cancelToken() != nullptr) {
+    own.emplace(support::BudgetLimits{}, caller->cancelToken());
+  }
+  support::BudgetScope scope(own ? &*own : nullptr);
+  return run(program, params, machine, plan, /*closedForm=*/true);
+}
+
+SimulationResult replay(const ir::Program& program, const ir::Bindings& params,
+                        const MachineParams& machine, const ExecutionPlan& plan) {
+  obs::Span span("dsm.replay");
+  return run(program, params, machine, plan, /*closedForm=*/false);
 }
 
 }  // namespace ad::dsm

@@ -1,24 +1,37 @@
 // DSM machine model.
 //
-// A deterministic simulator of a distributed-shared-memory multiprocessor in
+// A deterministic cost model of a distributed-shared-memory multiprocessor in
 // the style of the paper's Cray T3D testbed: H processors, each owning a
 // slice of every shared array under a BLOCK-CYCLIC(b) distribution, with
 // single-sided put communication. Iterations of each parallel loop are
 // scheduled CYCLIC(p) (the paper's Section 4 assumption ii).
 //
-// The simulator replays a program's exact access stream (via ir::walker),
-// classifies every access local/remote against the active data distribution,
-// and charges costs from MachineParams. Data redistributions between phases
-// (the C edges of the LCG) are executed as aggregated puts. The same serial
-// O(accesses) replay is the repo's one enumerating locality oracle: it also
-// tallies the per-(phase, array) counts of an ObservedTrace, which the
-// Theorem-1/2 validator and the closed-form symbolic validator consume.
+// Every access is classified local/remote against the active data
+// distribution and charged from MachineParams; data redistributions between
+// phases (the C edges of the LCG) are executed as aggregated puts. Two
+// implementations produce the same SimulationResult, byte for byte:
+//
+//   - simulate() derives the per-processor local/remote counts in closed form
+//     from the access descriptors (dsm/closed_form): O(descriptor regions),
+//     independent of the iteration counts. It is the cost model every plan
+//     and baseline evaluation uses. A phase with a region the algebra cannot
+//     collapse is replayed instead — still exact, and counted on
+//     ad.dsm.phases_replayed.
+//   - replay() walks the program's exact access stream (via ir::walker) once,
+//     serially. It is the repo's one access enumerator, kept as the
+//     differential twin of the closed form and as the trace validator's
+//     enumerating oracle (sim::simulateTrace).
+//
+// Both count integer accesses per processor first and charge cycles once
+// per phase (count x cost), so they agree exactly even for fractional
+// per-access work. Both also tally the per-(phase, array) counts of an
+// ObservedTrace, which the Theorem-1/2 validator consumes.
 //
 // Cost parameters default to published T3D ratios (remote:local latency on
 // the order of 10^2, put startup on the order of 10^3 cycles); the paper's
 // claim that we reproduce — >70% parallel efficiency at H = 64 with
 // LCG-derived distributions — is about the *ratio* of local to remote
-// traffic, which the replay measures exactly.
+// traffic, which both implementations count exactly.
 #pragma once
 
 #include <cstdint>
@@ -126,7 +139,7 @@ struct PhaseCounts {
   [[nodiscard]] std::int64_t remote() const;
 };
 
-/// The communication a replay observed, in the shape both validation oracles
+/// The communication a run observed, in the shape both validation oracles
 /// produce: per-phase/per-array counts plus the communication events — all
 /// frontier refreshes in phase order, then all global redistributions.
 /// RedistributionStats::time is left 0 here (events are counted, not
@@ -140,7 +153,7 @@ struct ObservedTrace {
 struct SimulationResult {
   std::vector<PhaseStats> phases;
   std::vector<RedistributionStats> redistributions;  ///< charged, in execution order
-  ObservedTrace observed;                            ///< the same replay, counted
+  ObservedTrace observed;                            ///< the same run, counted
 
   [[nodiscard]] double parallelTime() const;
   [[nodiscard]] double sequentialTime() const;
@@ -189,6 +202,14 @@ struct ExecutionPlan {
                                                                  const ir::ArrayDecl& array,
                                                                  std::size_t phase);
 
+/// The global redistribution due before `phase` for `array`, counted in
+/// closed form by walking constant-owner runs: nullopt when the distribution
+/// does not change, an endpoint has no owner (private/replicated), the values
+/// are dead (redistributionMovesData), or nothing moves. `time` is left 0.
+[[nodiscard]] std::optional<RedistributionStats> globalRedistribution(
+    const ir::Program& program, const ir::Bindings& params, const ExecutionPlan& plan,
+    const ir::ArrayDecl& array, std::size_t phase, std::int64_t processors);
+
 /// One phase of the replay: per-processor time and per-array counts.
 struct PhaseReplay {
   PhaseStats stats;
@@ -204,11 +225,19 @@ struct PhaseReplay {
                                       const MachineParams& machine, const ExecutionPlan& plan,
                                       std::size_t phase);
 
-/// Replays the program under `plan` and returns the measured statistics.
-/// Arrays marked privatizable in a phase are local there regardless of the
-/// plan (each processor works on its own copy).
+/// The cost of running the program under `plan`, in closed form. Arrays
+/// marked privatizable in a phase are local there regardless of the plan
+/// (each processor works on its own copy). Runs under a budget of its own
+/// that carries only the caller's cancellation token: it charges the
+/// caller's budget nothing, never degrades, and throws CancelledError when
+/// the caller is cancelled. Equal to replay() on every input.
 [[nodiscard]] SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                                         const MachineParams& machine,
                                         const ExecutionPlan& plan);
+
+/// The same result as simulate(), by enumerating every access (replayPhase
+/// per phase) and every redistributed element.
+[[nodiscard]] SimulationResult replay(const ir::Program& program, const ir::Bindings& params,
+                                      const MachineParams& machine, const ExecutionPlan& plan);
 
 }  // namespace ad::dsm

@@ -7,8 +7,6 @@
 
 namespace ad::ir {
 
-namespace {
-
 std::int64_t evalInt(const sym::Expr& e, const Bindings& b, const char* what) {
   const Rational r = e.evaluate(b);
   if (!r.isInteger()) {
@@ -16,6 +14,8 @@ std::int64_t evalInt(const sym::Expr& e, const Bindings& b, const char* what) {
   }
   return r.asInteger();
 }
+
+namespace {
 
 void walk(const Program& program, const Phase& phase, Bindings& b, std::size_t depth,
           const std::function<void(const Bindings&)>& fn) {

@@ -17,6 +17,10 @@ namespace ad::ir {
 
 using Bindings = std::map<sym::SymbolId, std::int64_t>;
 
+/// Evaluates `e` under `b`. Throws AnalysisError naming `what` when the value
+/// is not an integer.
+[[nodiscard]] std::int64_t evalInt(const sym::Expr& e, const Bindings& b, const char* what);
+
 /// One concrete array access produced by walking a nest.
 struct ConcreteAccess {
   const ArrayRef* ref = nullptr;

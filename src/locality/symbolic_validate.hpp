@@ -1,16 +1,16 @@
 // Closed-form (symbolic) trace validation.
 //
-// The enumerating oracle (dsm::simulate's replay, packaged by sim/trace_sim)
-// classifies every concrete access of every phase against the plan's
-// distributions — exact, but O(accesses), which caps it well below the
-// paper's problem scales. This module computes the *same* observed trace in
-// closed form: each reference's access region is collapsed into arithmetic
-// progressions (loop-nest tails fold by exact stride-merge rules), and each
-// progression is intersected with the processor-locality interval sets of
-// sym/interval_set — owner blocks, Theorem-1c replicated halos, and
-// folded-storage reflections included. The per-(phase, processor)
-// local/remote counts and the redistribution word/message counts then cost
-// O(descriptor regions), independent of the iteration counts being validated.
+// The enumerating oracle (dsm::replay, packaged by sim/trace_sim) classifies
+// every concrete access of every phase against the plan's distributions —
+// exact, but O(accesses), which caps it well below the paper's problem
+// scales. This module computes the *same* observed trace in closed form, on
+// the counting core the DSM cost model uses (dsm/closed_form): each
+// reference's access region is collapsed into arithmetic progressions and
+// intersected with the processor-locality interval sets, and global
+// redistributions are counted by walking constant-owner runs. The
+// per-(phase, array) local/remote counts and the redistribution word/message
+// counts then cost O(descriptor regions), independent of the iteration
+// counts being validated.
 //
 // The output is an dsm::ObservedTrace that must be *identical* — field for
 // field, ordering included — to sim::simulateTrace's on the same inputs;
@@ -20,7 +20,8 @@
 // residue after numeric expansion, cap or budget exhaustion, or an injected
 // "symval.region" fault) falls back to the enumerating oracle's per-phase
 // replay (dsm::replayPhase) for that (phase, array) only — the counts stay
-// exact, the run is marked degraded via support::recordDegradation.
+// exact, the run is marked degraded via support::recordDegradation. Unlike
+// dsm::simulate, this validator charges the request's budget.
 #pragma once
 
 #include <cstdint>

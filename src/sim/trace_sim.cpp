@@ -12,12 +12,6 @@ namespace ad::sim {
 
 namespace {
 
-void failIfInjected() {
-  if (AD_FAULT_POINT("sim.trace")) {
-    throw AnalysisError("injected fault: trace simulation aborted (sim.trace)");
-  }
-}
-
 /// Totals the observed counts and publishes them as the ad.sim.* counters
 /// (equal to the returned TraceResult's by construction).
 TraceResult package(dsm::ObservedTrace observed, std::int64_t processors, double wallSeconds) {
@@ -84,21 +78,17 @@ std::string TraceResult::str() const {
 TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params,
                           const dsm::ExecutionPlan& plan, const SimOptions& opts) {
   obs::Span traceSpan("sim.trace", "sim");
-  failIfInjected();
+  if (AD_FAULT_POINT("sim.trace")) {
+    throw AnalysisError("injected fault: trace simulation aborted (sim.trace)");
+  }
   AD_REQUIRE(opts.processors >= 1, "need at least one simulated processor");
   dsm::MachineParams machine;
   machine.processors = opts.processors;
   const auto start = std::chrono::steady_clock::now();
-  dsm::SimulationResult replay = dsm::simulate(program, params, machine, plan);
+  dsm::SimulationResult replay = dsm::replay(program, params, machine, plan);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return package(std::move(replay.observed), opts.processors, seconds);
-}
-
-TraceResult traceOfReplay(dsm::ObservedTrace observed, std::int64_t processors) {
-  obs::Span traceSpan("sim.trace", "sim");
-  failIfInjected();
-  return package(std::move(observed), processors, 0.0);
 }
 
 }  // namespace ad::sim

@@ -284,25 +284,27 @@ TEST(Cancellation, MidFlightCancelAbortsTheBatchButNotCleanlyFinishedItems) {
 }
 
 TEST(Cancellation, CancelDuringThePlanReplayStopsTheReplay) {
-  // With no baseline and no validation, the plan replay is the last stage:
-  // no boundary check follows it, so only the replay's own polling can stop
-  // a request cancelled while it enumerates.
+  // The plan's cost model is closed form; the one stage that still
+  // enumerates every access is the trace oracle's replay of the plan. With
+  // no baseline it is the last stage before validation, so only the replay's
+  // own polling can stop a request cancelled while it enumerates.
   const auto prog = codes::makeTFFT2();
   driver::PipelineConfig config;
   config.params = codes::bindParams(prog, {{"P", 128}, {"Q", 128}});
   config.processors = 8;
   config.simulateBaseline = false;
-  config.validate = driver::ValidateMode::kNone;
+  config.validate = driver::ValidateMode::kTrace;
   const auto token = std::make_shared<std::atomic<bool>>(false);
   config.cancel = token;
 
-  // The comm stage's span is recorded as it ends, right before the replay
-  // starts; the canceller fires a little after that.
+  // The cost-model stage's span is recorded as it ends, right before the
+  // replay starts; the canceller fires a little after that.
   obs::tracer().clear();
   obs::tracer().enable();
   std::atomic<bool> finished{false};
   std::thread canceller([&] {
-    while (!finished.load() && obs::tracer().statsByName().count("pipeline.comm") == 0) {
+    while (!finished.load() &&
+           obs::tracer().statsByName().count("pipeline.dsm_model") == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -316,8 +318,47 @@ TEST(Cancellation, CancelDuringThePlanReplayStopsTheReplay) {
 
   ASSERT_FALSE(result.has_value()) << "the replay ran to completion after the cancel";
   EXPECT_EQ(result.status().code(), ErrorCode::kCancelled) << result.status().str();
-  EXPECT_NE(result.status().str().find("stage=dsm_model"), std::string::npos)
+  EXPECT_NE(result.status().str().find("stage=trace_sim"), std::string::npos)
       << result.status().str();
+}
+
+TEST(Degradation, ClosedFormCostModelChargesNoStepsAndNeverDegrades) {
+  // Under a one-step analysis budget the cost model still counts in closed
+  // form (its own budget admits every step), leaves the caller's allowance
+  // untouched and records no downgrade.
+  const auto prog = codes::makeTFFT2();
+  const ir::Bindings params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
+  dsm::MachineParams machine;
+  machine.processors = 4;
+  const auto plan = dsm::ExecutionPlan::naiveBlock(prog, params, machine.processors);
+  support::BudgetLimits limits;
+  limits.proverSteps = 1;
+  support::Budget budget(limits);
+  support::BudgetScope scope(&budget);
+  support::DegradationReport ledger;
+  support::DegradationScope ledgerScope(&ledger);
+  obs::Counter& replayed = obs::metrics().counter("ad.dsm.phases_replayed");
+  const std::int64_t replayedBefore = replayed.value();
+  const dsm::SimulationResult model = dsm::simulate(prog, params, machine, plan);
+  EXPECT_EQ(budget.stepsUsed(), 0);
+  EXPECT_FALSE(budget.exhausted());
+  EXPECT_TRUE(ledger.empty());
+  EXPECT_EQ(replayed.value(), replayedBefore);
+  EXPECT_EQ(model.str(), dsm::replay(prog, params, machine, plan).str());
+}
+
+TEST(Cancellation, ClosedFormCostModelStopsWhenTheCallerIsCancelled) {
+  // dsm::simulate runs under a budget of its own but shares the caller's
+  // cancellation token: a cancelled caller gets CancelledError, not a cost.
+  const auto prog = codes::makeTFFT2();
+  const ir::Bindings params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
+  dsm::MachineParams machine;
+  machine.processors = 4;
+  const auto plan = dsm::ExecutionPlan::naiveBlock(prog, params, machine.processors);
+  const auto token = std::make_shared<std::atomic<bool>>(true);
+  support::Budget budget(support::BudgetLimits{}, token);
+  support::BudgetScope scope(&budget);
+  EXPECT_THROW((void)dsm::simulate(prog, params, machine, plan), CancelledError);
 }
 
 // ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ TEST_F(PipelineTest, MetricsAndTraceMatchSimulation) {
   ASSERT_TRUE(result.trace.has_value());
 
   // The ad.sim traffic counters must equal the trace's own totals: both are
-  // derived from the plan replay's per-array tallies.
+  // derived from the trace replay's per-array tallies.
   std::int64_t local = 0;
   std::int64_t remote = 0;
   for (const auto& ph : result.trace->observed.phases) {

@@ -1,8 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "codes/suite.hpp"
 #include "codes/tfft2.hpp"
 #include "comm/schedule.hpp"
+#include "driver/pipeline.hpp"
 #include "dsm/machine.hpp"
+#include "locality/symbolic_validate.hpp"
+#include "obs/obs.hpp"
 
 namespace ad::dsm {
 namespace {
@@ -132,6 +143,146 @@ TEST_F(SimulateTfft2, OneProcessorIsPureSequential) {
 }
 
 // ---------------------------------------------------------------------------
+// Closed-form cost model vs. its enumerating twin
+// ---------------------------------------------------------------------------
+
+/// simulate() (closed form) and replay() (enumeration) must agree byte for
+/// byte: the report, every processor's busy time, and the observed trace.
+void expectTwinsAgree(const ir::Program& prog, const ir::Bindings& params,
+                      const MachineParams& machine, const ExecutionPlan& plan,
+                      const std::string& label) {
+  const SimulationResult closed = simulate(prog, params, machine, plan);
+  const SimulationResult replayed = replay(prog, params, machine, plan);
+  EXPECT_EQ(closed.str(), replayed.str()) << label;
+  ASSERT_EQ(closed.phases.size(), replayed.phases.size()) << label;
+  for (std::size_t k = 0; k < closed.phases.size(); ++k) {
+    EXPECT_EQ(closed.phases[k].peTime, replayed.phases[k].peTime)
+        << label << " phase " << closed.phases[k].phase;
+    EXPECT_EQ(closed.phases[k].seqTime, replayed.phases[k].seqTime) << label;
+  }
+  const auto diff = loc::describeTraceDifference(closed.observed, replayed.observed);
+  EXPECT_FALSE(diff.has_value()) << label << ": " << *diff;
+}
+
+TEST(CostModelTwin, SuiteDerivedAndBaselinePlansMatchTheReplay) {
+  for (const auto& code : codes::benchmarkSuite()) {
+    const ir::Program prog = code.build();
+    const ir::Bindings params = codes::bindParams(prog, code.smallParams);
+    for (const std::int64_t H : {1, 4, 8, 64}) {
+      driver::PipelineConfig config;
+      config.params = params;
+      config.processors = H;
+      config.simulatePlan = false;
+      config.simulateBaseline = false;
+      const auto derived = driver::analyzeAndSimulate(prog, config).plan;
+      MachineParams machine;
+      machine.processors = H;
+      const std::string label = code.name + " H=" + std::to_string(H);
+      expectTwinsAgree(prog, params, machine, derived, label + " derived");
+      expectTwinsAgree(prog, params, machine, ExecutionPlan::naiveBlock(prog, params, H),
+                       label + " naive");
+    }
+  }
+}
+
+std::uint64_t nextRand(std::uint64_t& state) {
+  state ^= state >> 12;
+  state ^= state << 25;
+  state ^= state >> 27;
+  return state * 0x2545F4914F6CDD1DULL;
+}
+
+std::int64_t pick(std::uint64_t& rng, std::int64_t lo, std::int64_t hi) {
+  return lo + static_cast<std::int64_t>(nextRand(rng) % static_cast<std::uint64_t>(hi - lo + 1));
+}
+
+TEST(CostModelTwin, PropertyRandomAffinePhasesMatchTheReplay) {
+  std::uint64_t rng = 0xC0575EED;  // fixed seed: failures must reproduce
+  const auto c = [](std::int64_t v) { return sym::Expr::constant(v); };
+  for (int iter = 0; iter < 300; ++iter) {
+    // One phase over A (and a scratch B): an optional sequential outer loop,
+    // an optional DOALL, an inner loop that is sometimes triangular, and
+    // affine subscripts with random coefficients. The base offset keeps
+    // every address non-negative.
+    ir::Program prog;
+    prog.declareArray("A", c(4096));
+    prog.declareArray("B", c(4096));
+    const bool outer = pick(rng, 0, 3) == 0;
+    const bool parallel = pick(rng, 0, 4) != 0;
+    const bool triangular = pick(rng, 0, 3) == 0;
+    const std::int64_t trip = pick(rng, 1, 60);
+    const std::int64_t inner = pick(rng, 1, 9);
+    ir::PhaseBuilder b(prog, "F");
+    if (outer) b.loop("k", c(0), c(pick(rng, 0, 2)));
+    const std::int64_t lo = pick(rng, 0, 5);
+    if (parallel) {
+      b.doall("i", c(lo), c(lo + trip - 1));
+    } else {
+      b.loop("i", c(lo), c(lo + trip - 1));
+    }
+    b.loop("j", c(0), triangular ? b.idx("i") : c(inner - 1));
+    const std::int64_t refs = pick(rng, 1, 3);
+    for (std::int64_t r = 0; r < refs; ++r) {
+      sym::Expr sub = c(600 + pick(rng, 0, 40)) + c(pick(rng, -3, 5)) * b.idx("i") +
+                      c(pick(rng, -2, 4)) * b.idx("j");
+      if (outer) sub = sub + c(pick(rng, 0, 7)) * b.idx("k");
+      if (pick(rng, 0, 1) == 0) {
+        b.read("A", sub);
+      } else {
+        b.write("A", sub);
+      }
+    }
+    b.update("B", c(pick(rng, 0, 9)) + b.idx("j"));
+    const bool privatizeB = pick(rng, 0, 1) == 0;
+    if (privatizeB) b.privatize("B");
+    b.workPerAccess(iter % 4 == 0 ? 0.1 : static_cast<double>(pick(rng, 1, 3)));
+    b.commit();
+    prog.validate();
+
+    MachineParams machine;
+    machine.processors = pick(rng, 1, 9);
+    const std::int64_t H = machine.processors;
+    const std::int64_t block = pick(rng, 1, 12);
+    ExecutionPlan plan;
+    plan.iteration = {IterationDistribution{pick(rng, 1, 8)}};
+    switch (pick(rng, 0, 2)) {
+      case 0: plan.data["A"] = {DataDistribution::blockCyclic(block)}; break;
+      case 1:
+        plan.data["A"] = {DataDistribution::foldedBlockCyclic(block, 2 * block * H * pick(rng, 1, 3))};
+        break;
+      default:
+        plan.data["A"] = {DataDistribution::foldedBlockCyclic(block, pick(rng, 1, 200))};
+        break;
+    }
+    plan.data["B"] = {DataDistribution::blockCyclic(pick(rng, 1, 6))};
+    plan.halo["A"] = {pick(rng, 0, 3) == 0 ? 0 : pick(rng, 1, 2 * block + 1)};
+    plan.halo["B"] = {0};
+    expectTwinsAgree(prog, {}, machine, plan, "iter " + std::to_string(iter));
+  }
+}
+
+TEST(CostModelTwin, StudySizeCostModelNeverFallsBackToTheReplay) {
+  // The fast-path pin: at the paper's study sizes on 64 PEs every phase of
+  // every suite code, plan and baseline alike, is counted in closed form.
+  obs::Counter& closedForm = obs::metrics().counter("ad.dsm.phases_closed_form");
+  obs::Counter& replayed = obs::metrics().counter("ad.dsm.phases_replayed");
+  for (const auto& code : codes::benchmarkSuite()) {
+    const ir::Program prog = code.build();
+    driver::PipelineConfig config;
+    config.params = codes::bindParams(prog, code.studyParams);
+    config.processors = 64;
+    const std::int64_t closedBefore = closedForm.value();
+    const std::int64_t replayedBefore = replayed.value();
+    const auto result = driver::analyzeAndSimulate(prog, config);
+    EXPECT_EQ(replayed.value() - replayedBefore, 0) << code.name;
+    EXPECT_EQ(closedForm.value() - closedBefore,
+              static_cast<std::int64_t>(2 * prog.phases().size()))
+        << code.name;
+    EXPECT_EQ(result.planned.phases.size(), prog.phases().size()) << code.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Communication schedules
 // ---------------------------------------------------------------------------
 
@@ -178,6 +329,87 @@ TEST(CommSchedule, MessagesAreAggregatedPerPair) {
   }
   EXPECT_GT(sched.time(MachineParams{}), 0.0);
   EXPECT_NE(sched.str().find("put"), std::string::npos);
+}
+
+/// The per-element reference the schedules are checked against: every moved
+/// element as its own (src, dst, addr) tuple, aggregated into maximal ranges
+/// per pair.
+std::vector<comm::Message> bruteForceMessages(
+    const std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>& moves) {
+  std::map<std::pair<std::int64_t, std::int64_t>, std::set<std::int64_t>> byPair;
+  for (const auto& [src, dst, addr] : moves) byPair[{src, dst}].insert(addr);
+  std::vector<comm::Message> out;
+  for (const auto& [pair, addrs] : byPair) {
+    comm::Message m{pair.first, pair.second, {}};
+    for (const std::int64_t a : addrs) {
+      if (!m.ranges.empty() && m.ranges.back().end == a) {
+        ++m.ranges.back().end;
+      } else {
+        m.ranges.push_back(comm::Range{a, a + 1});
+      }
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+void expectSameMessages(const comm::CommSchedule& sched, const std::vector<comm::Message>& want,
+                        const std::string& label) {
+  ASSERT_EQ(sched.messages().size(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const comm::Message& got = sched.messages()[i];
+    EXPECT_EQ(got.src, want[i].src) << label;
+    EXPECT_EQ(got.dst, want[i].dst) << label;
+    ASSERT_EQ(got.ranges.size(), want[i].ranges.size()) << label << " message " << i;
+    for (std::size_t r = 0; r < want[i].ranges.size(); ++r) {
+      EXPECT_EQ(got.ranges[r].begin, want[i].ranges[r].begin) << label;
+      EXPECT_EQ(got.ranges[r].end, want[i].ranges[r].end) << label;
+    }
+  }
+}
+
+TEST(CommSchedule, OwnerRunSchedulesMatchPerElementAggregation) {
+  const std::int64_t size = 1000;
+  for (const std::int64_t H : {1, 3, 8, 64}) {
+    const std::vector<std::pair<std::string, DataDistribution>> dists = {
+        {"BLOCK", DataDistribution::blocked(size, H)},
+        {"CYCLIC", DataDistribution::blockCyclic(1)},
+        {"BLOCK-CYCLIC(3)", DataDistribution::blockCyclic(3)},
+        {"BLOCK-CYCLIC(16)", DataDistribution::blockCyclic(16)},
+        {"FOLDED(2,64)", DataDistribution::foldedBlockCyclic(2, 64)},
+        {"FOLDED(5,333)", DataDistribution::foldedBlockCyclic(5, 333)},
+    };
+    for (const auto& [fromName, from] : dists) {
+      for (const auto& [toName, to] : dists) {
+        std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
+        for (std::int64_t a = 0; a < size; ++a) {
+          const std::int64_t src = from.owner(a, H);
+          const std::int64_t dst = to.owner(a, H);
+          if (src != dst) moves.emplace_back(src, dst, a);
+        }
+        const auto sched = comm::generateGlobal("X", size, from, to, H);
+        expectSameMessages(sched, bruteForceMessages(moves),
+                           fromName + " -> " + toName + " H=" + std::to_string(H));
+        EXPECT_TRUE(comm::verifiesRedistribution(sched, size, from, to, H));
+      }
+      if (from.kind != DataDistribution::Kind::kBlockCyclic) continue;
+      for (const std::int64_t overlap : {std::int64_t{1}, std::int64_t{2}, from.block + 1}) {
+        std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
+        for (std::int64_t start = from.block; start < size; start += from.block) {
+          const std::int64_t dst = from.owner(start - from.block, H);
+          const std::int64_t src = from.owner(start, H);
+          if (src == dst) continue;
+          for (std::int64_t a = start; a < std::min(size, start + overlap); ++a) {
+            moves.emplace_back(src, dst, a);
+          }
+        }
+        expectSameMessages(comm::generateFrontier("X", size, from, overlap, H),
+                           bruteForceMessages(moves),
+                           "frontier " + fromName + " overlap=" + std::to_string(overlap) +
+                               " H=" + std::to_string(H));
+      }
+    }
+  }
 }
 
 TEST(CommSchedule, FrontierUpdatesBlockBoundaries) {

@@ -1,5 +1,5 @@
 // Trace simulation: hand-computable locality counts, the pipeline's trace
-// (taken from the plan replay) against a standalone replay, frontier events
+// against a standalone replay, frontier events
 // at H = 1, and the Theorem-1/2 cross-check on L and C edges.
 #include <gtest/gtest.h>
 
@@ -183,9 +183,9 @@ TEST(TraceSim, ObservedTraceListsFrontiersBeforeGlobalRedistributions) {
 }
 
 TEST(TraceSim, PipelineTraceEqualsStandaloneReplayAcrossTheSuite) {
-  // The pipeline's trace stage reuses the plan replay's tally when the plan
-  // was simulated, and replays once itself when it was not. Either way the
-  // trace must be byte-equal to a standalone simulateTrace of the same plan.
+  // The pipeline's trace stage replays the plan once whether or not the plan
+  // was costed first. Either way the trace must be byte-equal to a
+  // standalone simulateTrace of the same plan.
   for (const bool simulatePlan : {true, false}) {
     for (const auto& code : codes::benchmarkSuite()) {
       const ir::Program prog = code.build();
