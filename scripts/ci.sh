@@ -12,6 +12,7 @@
 #   scripts/ci.sh fault      # fault-injection/budget matrix: degraded but sound
 #   scripts/ci.sh symval     # symbolic-vs-trace differential + BENCH_symval.json
 #   scripts/ci.sh bench      # reproduction benches only
+#   scripts/ci.sh baselines  # every artifact bench_compare.py gates has a tracked baseline
 #   scripts/ci.sh perf       # perf-regression gate vs bench/baselines + self-test
 #   scripts/ci.sh service    # service soak (plain + TSan), schema + compare gate, CLI e2e
 #   scripts/ci.sh coverage   # gcov line coverage of src/symbolic + src/descriptors
@@ -176,6 +177,23 @@ symval() {
   # enumerating every access (minutes at this size) fails here instead of
   # hiding behind the small test sizes.
   timeout 60 ./build/examples/tfft2_pipeline 1024 1024 8 --validate=symbolic >/dev/null
+  # The same run under a 50-step budget: the analysis degrades (conservative
+  # C edges, exit 5), the validation does not. It charges no budget, so no
+  # region falls back to enumerating the plan's accesses (~56 s when it did)
+  # and no symval.region event is reported. (-w: the ad.symval.regions_*
+  # metric names must not match.)
+  local out rc=0
+  out="$(timeout 20 ./build/examples/tfft2_pipeline 1024 1024 8 --validate=symbolic \
+           --budget-steps 50 2>&1)" || rc=$?
+  if [ "$rc" -ne 5 ]; then
+    echo "FAIL: budgeted paper-scale symval run exited $rc, want 5" >&2
+    exit 1
+  fi
+  if grep -qw 'symval\.region' <<<"$out"; then
+    echo "FAIL: budgeted paper-scale symval run reported a symval.region downgrade" >&2
+    exit 1
+  fi
+  echo "ok (exit 5): paper-scale symval under --budget-steps 50, no symval.region"
   ./build/bench/symbolic_validation
   python3 - <<'EOF'
 import json
@@ -274,6 +292,24 @@ print(f"obs smoke ok: {len(events)} trace events, "
 EOF
 }
 
+baselines() {
+  # Every artifact scripts/bench_compare.py compares must have a baseline
+  # tracked by git: one that exists only in a working copy (say, matched by a
+  # .gitignore pattern) passes locally and is missing on a fresh clone.
+  echo "=== baselines: every compared artifact has a tracked baseline ==="
+  local artifact missing=0
+  for artifact in $(python3 -c 'import sys; sys.path.insert(0, "scripts")
+import bench_compare
+print(" ".join(sorted(bench_compare.COMPARATORS)))'); do
+    if ! git ls-files --error-unmatch "bench/baselines/$artifact" >/dev/null 2>&1; then
+      echo "FAIL: bench/baselines/$artifact is not tracked by git" >&2
+      missing=1
+    fi
+  done
+  [ "$missing" -eq 0 ] || exit 1
+  echo "ok: every compared artifact has a tracked baseline"
+}
+
 perf() {
   # Perf-regression gate: rerun the perf-sensitive benches and diff their
   # artifacts against the checked-in baselines (bench/baselines/). Only
@@ -282,6 +318,7 @@ perf() {
   # (see scripts/bench_compare.py). The stage also self-tests: a doctored
   # artifact with a synthetic regression must make the comparator fail.
   echo "=== perf: regression gate vs bench/baselines ==="
+  baselines
   cmake -B build -S .
   cmake --build build -j "$jobs" --target \
     analysis_scaling contention_profile symbolic_validation kernel_family \
@@ -435,6 +472,7 @@ service() {
   #   4. an end-to-end --serve/--client session over a real socket asserting
   #      the documented exit codes (0 ok, 5 degraded, 6 unavailable).
   echo "=== service: overload soak + TSan soak + compare gate + CLI e2e ==="
+  baselines
   cmake -B build -S .
   cmake --build build -j "$jobs" --target service_soak service_test tfft2_pipeline
   ./build/tests/service_test
@@ -584,6 +622,7 @@ case "$stage" in
   tsan) tsan ;;
   asan) asan ;;
   obs) obs ;;
+  baselines) baselines ;;
   fault) fault ;;
   symval) symval ;;
   bench) bench ;;
@@ -591,6 +630,6 @@ case "$stage" in
   service) service ;;
   coverage) coverage ;;
   all) tier1; tsan; asan; obs; fault; symval; bench; perf; service; coverage ;;
-  *) echo "unknown stage: $stage (tier1|tsan|asan|obs|fault|symval|bench|perf|service|coverage|all)" >&2; exit 2 ;;
+  *) echo "unknown stage: $stage (tier1|tsan|asan|obs|fault|symval|bench|baselines|perf|service|coverage|all)" >&2; exit 2 ;;
 esac
 echo "CI gate passed."

@@ -336,9 +336,14 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     obs::Span s("pipeline.symval");
     ErrorContext stage("stage", "symval");
     support::throwIfCancelled();
-    loc::SymvalOptions so;
-    so.processors = config.processors;
-    result.symbolic = loc::symbolicTrace(program, config.params, result.plan, so);
+    if (config.simulatePlan) {
+      // The cost model already counted this plan in closed form.
+      result.symbolic = loc::symbolicCounts(result.planned, config.processors);
+    } else {
+      loc::SymvalOptions so;
+      so.processors = config.processors;
+      result.symbolic = loc::symbolicTrace(program, config.params, result.plan, so);
+    }
   }
   if (mode == ValidateMode::kBoth) {
     // Differential oracle check: the two observed traces must be identical

@@ -55,7 +55,8 @@ struct PipelineConfig {
   /// Trace-validation oracle selection (`--validate=trace|symbolic|both`;
   /// `--simulate` is kTrace): cross-check the observed communication against
   /// the LCG's Theorem-1/2 edge labels. The trace oracle always enumerates
-  /// (one dsm::replay of the plan); the symbolic one counts in closed form.
+  /// (one dsm::replay of the plan); the symbolic one reads the cost model's
+  /// closed-form count (the plan's, when simulatePlan costed it).
   ValidateMode validate = ValidateMode::kNone;
 
   /// Worker threads for the batched engine (analyzeBatch). Within a single

@@ -11,11 +11,12 @@
 // Global redistributions are counted by walking constant-owner runs over one
 // joint ownership period.
 //
-// Two consumers share this core: dsm::simulate (per-processor local/remote
-// counts -> cycles) and loc::symbolicTrace (per-array counts -> the
-// validator's observed trace). Both fall back to the replay for regions the
-// algebra cannot collapse (non-affine residue after bounded numeric
-// expansion, a capped expansion, or a budget that stopped admitting steps).
+// One driver uses this core: dsm::simulate, whose per-processor counts give
+// the cycles and whose per-array counts give the observed trace that
+// symbolic validation (loc::symbolicTrace) reports. It replays a phase whose
+// region the algebra cannot collapse (non-affine residue after bounded
+// numeric expansion, or a capped expansion); it degrades only on an injected
+// "symval.region" fault, which replays the phase too.
 #pragma once
 
 #include <algorithm>

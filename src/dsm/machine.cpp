@@ -8,6 +8,7 @@
 #include "support/budget.hpp"
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
+#include "support/fault.hpp"
 
 namespace ad::dsm {
 
@@ -106,6 +107,43 @@ std::int64_t PhaseCounts::remote() const {
   std::int64_t n = 0;
   for (const auto& [_, c] : arrays) n += c.remote;
   return n;
+}
+
+TrafficTotals ObservedTrace::totals() const {
+  TrafficTotals t;
+  for (const auto& p : phases) {
+    for (const auto& [_, c] : p.arrays) {
+      t.local += c.local;
+      t.remote += c.remote;
+      t.remoteBytes += c.remoteBytes;
+    }
+  }
+  for (const auto& r : redistributions) {
+    (r.frontier ? t.frontierWords : t.redistributedWords) += r.wordsMoved;
+  }
+  return t;
+}
+
+double ObservedTrace::localFraction() const {
+  const TrafficTotals t = totals();
+  return t.accesses() == 0 ? 1.0
+                           : static_cast<double>(t.local) / static_cast<double>(t.accesses());
+}
+
+std::string ObservedTrace::str() const {
+  std::ostringstream os;
+  for (const auto& p : phases) {
+    os << "  " << p.phase << ":";
+    for (const auto& [array, c] : p.arrays) {
+      os << " " << array << "(local=" << c.local << ",remote=" << c.remote << ")";
+    }
+    os << "\n";
+  }
+  for (const auto& r : redistributions) {
+    os << "  " << (r.frontier ? "frontier " : "redistribute ") << r.array << " before phase "
+       << r.beforePhase + 1 << ": words=" << r.wordsMoved << " msgs=" << r.messages << "\n";
+  }
+  return os.str();
 }
 
 std::int64_t SimulationResult::totalRemoteAccesses() const {
@@ -285,15 +323,24 @@ PhaseReplay chargePhase(const ir::Phase& ph, const PhaseRecipe& recipe, const Ph
 }
 
 /// Phase `phase` in closed form, or replayed when one of its regions does
-/// not collapse (the result is exact either way).
+/// not collapse or an injected "symval.region" fault fires (the result is
+/// exact either way). Adds the phase's regions to `result`'s region tally.
 PhaseReplay closedFormPhase(const ir::Program& program, const ir::Bindings& params,
                             const MachineParams& machine, const ExecutionPlan& plan,
-                            std::size_t phase, LocalitySets& sets) {
+                            std::size_t phase, LocalitySets& sets, SimulationResult& result) {
   support::throwIfCancelled();
   const PhaseRecipe recipe = phaseRecipe(program, plan, phase);
   PhaseTally tally(recipe.arrays.size(), machine.processors);
   bool collapsed = true;
   for (std::size_t i = 0; i < recipe.refs.size() && collapsed; ++i) {
+    if (AD_FAULT_POINT("symval.region")) {
+      support::recordDegradation("symval.region",
+                                 "phase=" + program.phase(phase).name() +
+                                     " array=" + recipe.arrays[recipe.refs[i].slot],
+                                 "phase replayed", "fault");
+      collapsed = false;
+      break;
+    }
     try {
       collapsed = countReference(program, params, plan, phase, i, recipe, machine.processors,
                                  sets, tally);
@@ -301,12 +348,15 @@ PhaseReplay closedFormPhase(const ir::Program& program, const ir::Bindings& para
       collapsed = false;  // a non-integral form: the replay settles (or reports) it
     }
   }
+  const auto regions = static_cast<std::int64_t>(recipe.refs.size());
   if (!collapsed) {
     support::throwIfCancelled();  // a refused budget step may mean the caller cancelled
     obs::metrics().counter("ad.dsm.phases_replayed").add(1);
+    result.enumeratedRegions += regions;
     return replayPhase(program, params, machine, plan, phase);
   }
   obs::metrics().counter("ad.dsm.phases_closed_form").add(1);
+  result.closedFormRegions += regions;
   return chargePhase(program.phase(phase), recipe, tally, machine);
 }
 
@@ -352,8 +402,9 @@ SimulationResult run(const ir::Program& program, const ir::Bindings& params,
       }
     }
 
-    PhaseReplay phase = closedForm ? closedFormPhase(program, params, machine, plan, k, sets)
-                                   : replayPhase(program, params, machine, plan, k);
+    PhaseReplay phase = closedForm
+                            ? closedFormPhase(program, params, machine, plan, k, sets, result)
+                            : replayPhase(program, params, machine, plan, k);
     result.phases.push_back(std::move(phase.stats));
     result.observed.phases.push_back(std::move(phase.counts));
   }
@@ -362,16 +413,6 @@ SimulationResult run(const ir::Program& program, const ir::Bindings& params,
 }
 
 }  // namespace
-
-std::optional<RedistributionStats> globalRedistribution(const ir::Program& program,
-                                                        const ir::Bindings& params,
-                                                        const ExecutionPlan& plan,
-                                                        const ir::ArrayDecl& array,
-                                                        std::size_t phase,
-                                                        std::int64_t processors) {
-  return redistributionBefore(program, params, plan, array, phase, processors,
-                              countRedistribution);
-}
 
 PhaseReplay replayPhase(const ir::Program& program, const ir::Bindings& params,
                         const MachineParams& machine, const ExecutionPlan& plan,
@@ -407,9 +448,10 @@ SimulationResult simulate(const ir::Program& program, const ir::Bindings& params
                           const MachineParams& machine, const ExecutionPlan& plan) {
   obs::Span span("dsm.simulate");
   // A budget of its own, with no step or deadline limits: the cost model
-  // charges the caller's analysis budget nothing and never degrades, yet a
-  // cancelled caller still stops it (the token is shared). Without a token
-  // there is nothing to observe, and no budget at all is the cheapest.
+  // charges the caller's analysis budget nothing and degrades only on an
+  // injected fault, yet a cancelled caller still stops it (the token is
+  // shared). Without a token there is nothing to observe, and no budget at
+  // all is the cheapest.
   const support::Budget* caller = support::Budget::current();
   std::optional<support::Budget> own;
   if (caller != nullptr && caller->cancelToken() != nullptr) {

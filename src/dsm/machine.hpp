@@ -13,10 +13,12 @@
 //
 //   - simulate() derives the per-processor local/remote counts in closed form
 //     from the access descriptors (dsm/closed_form): O(descriptor regions),
-//     independent of the iteration counts. It is the cost model every plan
-//     and baseline evaluation uses. A phase with a region the algebra cannot
-//     collapse is replayed instead — still exact, and counted on
-//     ad.dsm.phases_replayed.
+//     independent of the iteration counts. It is the repo's one closed-form
+//     traffic pass: every plan and baseline evaluation uses it, and symbolic
+//     validation (loc::symbolicTrace) reads its ObservedTrace. A phase with a
+//     region the algebra cannot collapse is replayed instead — still exact,
+//     and counted on ad.dsm.phases_replayed. It degrades only on an injected
+//     "symval.region" fault, which replays the phase too.
 //   - replay() walks the program's exact access stream (via ir::walker) once,
 //     serially. It is the repo's one access enumerator, kept as the
 //     differential twin of the closed form and as the trace validator's
@@ -139,6 +141,17 @@ struct PhaseCounts {
   [[nodiscard]] std::int64_t remote() const;
 };
 
+/// Traffic totals of an ObservedTrace, as the validators publish them.
+struct TrafficTotals {
+  std::int64_t local = 0;
+  std::int64_t remote = 0;
+  std::int64_t remoteBytes = 0;
+  std::int64_t redistributedWords = 0;  ///< global redistributions
+  std::int64_t frontierWords = 0;       ///< frontier (halo) refreshes
+
+  [[nodiscard]] std::int64_t accesses() const { return local + remote; }
+};
+
 /// The communication a run observed, in the shape both validation oracles
 /// produce: per-phase/per-array counts plus the communication events — all
 /// frontier refreshes in phase order, then all global redistributions.
@@ -148,12 +161,22 @@ struct PhaseCounts {
 struct ObservedTrace {
   std::vector<PhaseCounts> phases;  ///< one per program phase
   std::vector<RedistributionStats> redistributions;
+
+  [[nodiscard]] TrafficTotals totals() const;
+  /// Local share of all accesses (1 when there are none).
+  [[nodiscard]] double localFraction() const;
+  /// One line per phase (per-array counts), then one per event.
+  [[nodiscard]] std::string str() const;
 };
 
 struct SimulationResult {
   std::vector<PhaseStats> phases;
   std::vector<RedistributionStats> redistributions;  ///< charged, in execution order
   ObservedTrace observed;                            ///< the same run, counted
+  /// simulate()'s per-(phase, reference) regions: counted in closed form, or
+  /// enumerated because their phase was replayed (replay() leaves both 0).
+  std::int64_t closedFormRegions = 0;
+  std::int64_t enumeratedRegions = 0;
 
   [[nodiscard]] double parallelTime() const;
   [[nodiscard]] double sequentialTime() const;
@@ -202,14 +225,6 @@ struct ExecutionPlan {
                                                                  const ir::ArrayDecl& array,
                                                                  std::size_t phase);
 
-/// The global redistribution due before `phase` for `array`, counted in
-/// closed form by walking constant-owner runs: nullopt when the distribution
-/// does not change, an endpoint has no owner (private/replicated), the values
-/// are dead (redistributionMovesData), or nothing moves. `time` is left 0.
-[[nodiscard]] std::optional<RedistributionStats> globalRedistribution(
-    const ir::Program& program, const ir::Bindings& params, const ExecutionPlan& plan,
-    const ir::ArrayDecl& array, std::size_t phase, std::int64_t processors);
-
 /// One phase of the replay: per-processor time and per-array counts.
 struct PhaseReplay {
   PhaseStats stats;
@@ -229,8 +244,11 @@ struct PhaseReplay {
 /// marked privatizable in a phase are local there regardless of the plan
 /// (each processor works on its own copy). Runs under a budget of its own
 /// that carries only the caller's cancellation token: it charges the
-/// caller's budget nothing, never degrades, and throws CancelledError when
-/// the caller is cancelled. Equal to replay() on every input.
+/// caller's budget nothing and throws CancelledError when the caller is
+/// cancelled. Each reference passes the "symval.region" fault point; a
+/// firing replays that phase and records one symval.region degradation
+/// (cause "fault"), the only way this degrades. Equal to replay() on every
+/// input.
 [[nodiscard]] SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                                         const MachineParams& machine,
                                         const ExecutionPlan& plan);

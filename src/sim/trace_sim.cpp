@@ -19,59 +19,24 @@ TraceResult package(dsm::ObservedTrace observed, std::int64_t processors, double
   result.observed = std::move(observed);
   result.processors = processors;
   result.wallSeconds = wallSeconds;
-  std::int64_t local = 0;
-  std::int64_t remote = 0;
-  std::int64_t remoteBytes = 0;
-  for (const auto& p : result.observed.phases) {
-    for (const auto& [array, c] : p.arrays) {
-      local += c.local;
-      remote += c.remote;
-      remoteBytes += c.remoteBytes;
-    }
-  }
-  result.totalAccesses = local + remote;
-  std::int64_t redistWords = 0;
-  std::int64_t frontierWords = 0;
-  for (const auto& r : result.observed.redistributions) {
-    (r.frontier ? frontierWords : redistWords) += r.wordsMoved;
-  }
+  const dsm::TrafficTotals t = result.observed.totals();
+  result.totalAccesses = t.accesses();
   obs::MetricsRegistry& reg = obs::metrics();
-  reg.counter("ad.sim.local_accesses").add(local);
-  reg.counter("ad.sim.remote_accesses").add(remote);
-  reg.counter("ad.sim.remote_bytes").add(remoteBytes);
-  reg.counter("ad.sim.redistributed_words").add(redistWords);
-  reg.counter("ad.sim.frontier_words").add(frontierWords);
+  reg.counter("ad.sim.local_accesses").add(t.local);
+  reg.counter("ad.sim.remote_accesses").add(t.remote);
+  reg.counter("ad.sim.remote_bytes").add(t.remoteBytes);
+  reg.counter("ad.sim.redistributed_words").add(t.redistributedWords);
+  reg.counter("ad.sim.frontier_words").add(t.frontierWords);
   return result;
 }
 
 }  // namespace
 
-double TraceResult::localFraction() const {
-  std::int64_t local = 0;
-  std::int64_t remote = 0;
-  for (const auto& p : observed.phases) {
-    local += p.local();
-    remote += p.remote();
-  }
-  const auto total = local + remote;
-  return total == 0 ? 1.0 : static_cast<double>(local) / static_cast<double>(total);
-}
-
 std::string TraceResult::str() const {
   std::ostringstream os;
   os << "trace: H=" << processors << " accesses=" << totalAccesses
-     << " local_fraction=" << localFraction() << "\n";
-  for (const auto& p : observed.phases) {
-    os << "  " << p.phase << ":";
-    for (const auto& [array, c] : p.arrays) {
-      os << " " << array << "(local=" << c.local << ",remote=" << c.remote << ")";
-    }
-    os << "\n";
-  }
-  for (const auto& r : observed.redistributions) {
-    os << "  " << (r.frontier ? "frontier " : "redistribute ") << r.array << " before phase "
-       << r.beforePhase + 1 << ": words=" << r.wordsMoved << " msgs=" << r.messages << "\n";
-  }
+     << " local_fraction=" << observed.localFraction() << "\n"
+     << observed.str();
   return os.str();
 }
 

@@ -35,7 +35,6 @@ struct TraceResult {
   [[nodiscard]] double accessesPerSecond() const {
     return wallSeconds > 0.0 ? static_cast<double>(totalAccesses) / wallSeconds : 0.0;
   }
-  [[nodiscard]] double localFraction() const;
   [[nodiscard]] std::string str() const;
 };
 

@@ -1,7 +1,8 @@
 // Closed-form symbolic trace validation (locality/symbolic_validate):
 // differential agreement with the enumerating simulator across the whole
 // benchmark suite, hand-computed stencil fixtures, property-fuzzed interval
-// algebra, and the degraded (budget/fault) fallback path.
+// algebra, the one-count contract (validation reads the cost model's trace
+// and charges no budget), and the injected-fault fallback path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "dsm/machine.hpp"
 #include "ir/ir.hpp"
 #include "locality/symbolic_validate.hpp"
+#include "obs/obs.hpp"
 #include "sim/trace_sim.hpp"
 #include "support/budget.hpp"
 #include "support/fault.hpp"
@@ -122,7 +124,7 @@ TEST(Symval, HaloMakesStencilFullyLocal) {
 
   ASSERT_EQ(r.observed.phases.size(), 2u);
   EXPECT_EQ(r.observed.phases[1].arrays.at("A").remote, 0);
-  EXPECT_EQ(r.localFraction(), 1.0);
+  EXPECT_EQ(r.observed.localFraction(), 1.0);
 }
 
 // --- Differential vs the enumerating oracle, explicit distributions --------
@@ -252,10 +254,10 @@ TEST_P(KernelSymval, DifferentialAgreesUnderBothBindingClasses) {
   }
 }
 
-// Exhausted-budget degradation: with the prover budget gone, the kernels'
-// regions fall back to exact enumeration — the counts must STILL match the
-// enumerating oracle (the ladder trades speed, never precision), and the
-// run must be marked degraded with symval.region events in its ledger.
+// Exhausted budget: the analysis degrades (conservative C edges), but
+// symbolic validation charges no budget, so the kernels' regions all stay
+// closed form — no enumeration, no symval.region event — and the counts
+// still match the enumerating oracle exactly.
 TEST_P(KernelSymval, ExhaustedBudgetDegradesButStaysExact) {
   const KernelCase& kc = kernelCases()[GetParam()];
   const codes::CodeInfo& info = suiteCode(kc.name);
@@ -273,14 +275,82 @@ TEST_P(KernelSymval, ExhaustedBudgetDegradesButStaysExact) {
   ASSERT_TRUE(result.trace.has_value());
   ASSERT_TRUE(result.symbolic.has_value());
   EXPECT_TRUE(result.symbolicAgrees()) << kc.name << ": " << result.symbolicDifference;
-  EXPECT_TRUE(result.degraded()) << kc.name;
-  EXPECT_TRUE(hasStage(result.degradation, "symval.region")) << kc.name;
-  EXPECT_GT(result.symbolic->enumeratedRegions, 0) << kc.name;
+  EXPECT_TRUE(result.degraded()) << kc.name;  // the LCG stage still degrades
+  EXPECT_FALSE(hasStage(result.degradation, "symval.region")) << kc.name;
+  EXPECT_EQ(result.symbolic->enumeratedRegions, 0) << kc.name;
+  EXPECT_GT(result.symbolic->closedFormRegions, 0) << kc.name;
+
+  // The same validation of the degraded plan charges a metered budget no
+  // steps.
+  support::Budget metered(support::BudgetLimits{});
+  support::BudgetScope scope(&metered);
+  SymvalOptions opts;
+  opts.processors = config.processors;
+  (void)symbolicTrace(prog, config.params, result.plan, opts);
+  EXPECT_EQ(metered.stepsUsed(), 0) << kc.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, KernelSymval,
                          ::testing::Range<std::size_t>(0, kernelCases().size()),
                          [](const auto& i) { return kernelCases()[i.param].name; });
+
+// --- One closed-form pass: symval reads the cost model's trace --------------
+
+/// Current values of the ad.symval.* counters.
+std::vector<std::int64_t> symvalCounters() {
+  std::vector<std::int64_t> values;
+  for (const char* name :
+       {"ad.symval.local_accesses", "ad.symval.remote_accesses", "ad.symval.remote_bytes",
+        "ad.symval.regions_closed_form", "ad.symval.regions_enumerated",
+        "ad.symval.redistributed_words", "ad.symval.frontier_words"}) {
+    values.push_back(obs::metrics().counter(name).value());
+  }
+  return values;
+}
+
+std::vector<std::int64_t> minus(std::vector<std::int64_t> after,
+                                const std::vector<std::int64_t>& before) {
+  for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+  return after;
+}
+
+TEST(SymvalPipeline, PipelineCountsThePlanOnce) {
+  // With the plan costed, symbolic validation packages the cost model's
+  // count: the closed form runs once for the plan and once for the baseline.
+  // Without it, validation runs the closed form itself, exactly once.
+  const ir::Program prog = codes::makeTFFT2();
+  const auto phases = static_cast<std::int64_t>(prog.phases().size());
+  obs::Counter& closedForm = obs::metrics().counter("ad.dsm.phases_closed_form");
+  driver::PipelineConfig config;
+  config.params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
+  config.processors = 4;
+  config.validate = driver::ValidateMode::kSymbolic;
+
+  std::int64_t before = closedForm.value();
+  std::vector<std::int64_t> symvalBefore = symvalCounters();
+  const auto costed = driver::analyzeAndSimulate(prog, config);
+  EXPECT_EQ(closedForm.value() - before, 2 * phases);
+  const std::vector<std::int64_t> costedDeltas = minus(symvalCounters(), symvalBefore);
+  ASSERT_TRUE(costed.symbolic.has_value());
+  const auto vsPlanned =
+      describeTraceDifference(costed.symbolic->observed, costed.planned.observed);
+  EXPECT_FALSE(vsPlanned.has_value()) << *vsPlanned;
+  sim::SimOptions simOpts;
+  simOpts.processors = config.processors;
+  const sim::TraceResult trace = sim::simulateTrace(prog, config.params, costed.plan, simOpts);
+  const auto vsReplay = describeTraceDifference(costed.symbolic->observed, trace.observed);
+  EXPECT_FALSE(vsReplay.has_value()) << *vsReplay;
+
+  config.simulatePlan = false;
+  config.simulateBaseline = false;
+  before = closedForm.value();
+  symvalBefore = symvalCounters();
+  const auto validated = driver::analyzeAndSimulate(prog, config);
+  EXPECT_EQ(closedForm.value() - before, phases);
+  EXPECT_EQ(minus(symvalCounters(), symvalBefore), costedDeltas);
+  ASSERT_TRUE(validated.symbolic.has_value());
+  EXPECT_EQ(validated.symbolic->str(), costed.symbolic->str());
+}
 
 // --- Property fuzz: interval algebra vs brute-force classification ---------
 
@@ -380,7 +450,7 @@ TEST(Symval, FloorSumMatchesBruteForce) {
   }
 }
 
-// --- Degraded paths: budget exhaustion and fault injection -----------------
+// --- Budget exhaustion (no effect) and fault injection (degrades) ----------
 
 /// Installs an already-exhausted budget plus a degradation ledger, as
 /// tests/degradation_test.cpp does.
@@ -405,9 +475,10 @@ class ExhaustedBudget {
 };
 
 TEST(SymvalDegraded, ExhaustedBudgetFallsBackToExactEnumeration) {
-  // With the prover budget gone, every region degrades to the enumerating
-  // fallback — the counts must STILL equal the simulator's exactly (the
-  // ladder trades speed, never precision), and the ledger must say so.
+  // With the prover budget gone, symbolic validation still counts every
+  // region in closed form: it charges the caller's budget nothing, so a
+  // budget can never turn the count into an enumeration. The counts equal
+  // the simulator's exactly and the ledger stays free of symval.region.
   const ir::Program prog = makeStencil();
   const auto plan = uniformPlan(dsm::DataDistribution::blockCyclic(4), 4, 1);
 
@@ -415,15 +486,23 @@ TEST(SymvalDegraded, ExhaustedBudgetFallsBackToExactEnumeration) {
   simOpts.processors = 2;
   const sim::TraceResult trace = sim::simulateTrace(prog, {}, plan, simOpts);
 
-  ExhaustedBudget exhausted;
   SymvalOptions opts;
   opts.processors = 2;
-  const SymbolicCounts symbolic = symbolicTrace(prog, {}, plan, opts);
-
-  const auto diff = describeTraceDifference(symbolic.observed, trace.observed);
-  EXPECT_FALSE(diff.has_value()) << *diff;
-  EXPECT_GT(symbolic.enumeratedRegions, 0);
-  EXPECT_TRUE(hasStage(exhausted.ledger().snapshot(), "symval.region"));
+  {
+    ExhaustedBudget exhausted;
+    const SymbolicCounts symbolic = symbolicTrace(prog, {}, plan, opts);
+    const auto diff = describeTraceDifference(symbolic.observed, trace.observed);
+    EXPECT_FALSE(diff.has_value()) << *diff;
+    EXPECT_EQ(symbolic.enumeratedRegions, 0);
+    EXPECT_EQ(symbolic.closedFormRegions, 5);  // produce: 1 ref, smooth: 4
+    EXPECT_FALSE(hasStage(exhausted.ledger().snapshot(), "symval.region"));
+  }
+  // An exhausted budget admits no steps, so it cannot show a charge; a
+  // metered one can.
+  support::Budget metered(support::BudgetLimits{});
+  support::BudgetScope scope(&metered);
+  (void)symbolicTrace(prog, {}, plan, opts);
+  EXPECT_EQ(metered.stepsUsed(), 0);
 }
 
 class SymvalFault : public ::testing::Test {
