@@ -19,20 +19,22 @@
 // and parallel per-(phase,array) analysis.
 //
 // The jobs=8 leg runs with the contention profiler and tracer enabled and
-// reports where its wall-clock went: per-stage span totals (lcg.build,
-// ilp.solve, ...) and the ad.profile.v1 per-thread work/wait split are
+// reports where its wall-clock went: per-stage span self times (lcg.build,
+// ilp.solve, ...) and the ad.profile.v2 per-thread work/wait split are
 // printed and embedded in the artifact.
 //
 // Emits BENCH_analysis.json (schema ad.bench.analysis.v2):
 //   { "workload": {...}, "serial_ms": ...,
 //     "runs": [{"jobs": J, "ms": ..., "speedup": ...} ...],
 //     "tfft2": {"hits": ..., "misses": ..., "hit_rate": ...},
-//     "stages": [{"name": ..., "count": ..., "total_us": ...} ...],
-//     "profile": {ad.profile.v1} }
+//     "stages": [{"name": ..., "count": ..., "total_us": ..., "self_us": ...} ...],
+//     "profile": {ad.profile.v2} }
 //
 // Acceptance (checked here, nonzero exit on failure):
 //   - >= 5x wall-time reduction at jobs=8 vs the serial engine,
-//   - > 50% proof-memo hit rate on the TFFT2 segment.
+//   - > 50% proof-memo hit rate on the TFFT2 segment,
+//   - no thread of the profiled leg has more self time than the leg's wall.
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <vector>
@@ -225,9 +227,10 @@ int main() {
     loc::clearPhaseArrayMemo();
     obs::profiler().reset();
     obs::profiler().enable();
-    obs::tracer().clear();
     obs::tracer().enable();
+    const std::int64_t startUs = obs::tracer().nowUs();
     const auto results = driver::analyzeBatch(w.batch, 8);
+    const std::int64_t wallUs = obs::tracer().nowUs() - startUs;
     obs::profiler().disable();
     obs::tracer().disable();
     profileJson = obs::profiler().summary();
@@ -235,16 +238,30 @@ int main() {
     std::size_t done = 0;
     for (const auto& res : results) done += res.has_value() ? 1 : 0;
     r.checkTrue("profiled diagnostic leg analyzed all configs", done == w.batch.size());
+    // Self times partition each thread's traced time, so no thread can
+    // account for more than the leg's wall time.
+    std::int64_t maxThreadUs = 0;
+    for (const obs::ThreadSpans& thread : obs::tracer().statsByThread()) {
+      std::int64_t selfUs = 0;
+      for (const auto& [name, byCat] : thread.spans) {
+        for (const auto& [cat, stats] : byCat) selfUs += stats.selfUs;
+      }
+      maxThreadUs = std::max(maxThreadUs, selfUs);
+    }
+    r.checkTrue("profiled leg: every thread's self time <= wall (" +
+                    std::to_string(maxThreadUs) + " us of " + std::to_string(wallUs) + " us)",
+                maxThreadUs <= wallUs);
   }
 
-  // Per-stage breakdown of the profiled leg: span totals answer "which stage",
-  // the profile's thread rows answer "work or wait". Span totals are summed
-  // over all executing threads, so nested spans overlap-count by design.
+  // Per-stage breakdown of the profiled leg: span self times answer "which
+  // stage" (a span's self time excludes the spans nested in it, helped pool
+  // tasks included, so they add up), the profile's thread rows answer "work
+  // or wait". Inclusive totals are printed alongside for reference.
   r.note("per-stage breakdown (profiled jobs=8 leg):");
   for (const auto& [name, stats] : stageStats) {
     std::ostringstream line;
-    line << "  " << name << ": " << stats.count << " spans, " << stats.totalUs / 1000.0
-         << " ms total";
+    line << "  " << name << ": " << stats.count << " spans, " << stats.selfUs / 1000.0
+         << " ms self, " << stats.totalUs / 1000.0 << " ms inclusive";
     r.note(line.str());
   }
 
@@ -299,7 +316,7 @@ int main() {
     std::size_t i = 0;
     for (const auto& [name, stats] : stageStats) {
       json << "    {\"name\": \"" << name << "\", \"count\": " << stats.count
-           << ", \"total_us\": " << stats.totalUs << "}"
+           << ", \"total_us\": " << stats.totalUs << ", \"self_us\": " << stats.selfUs << "}"
            << (++i < stageStats.size() ? "," : "") << "\n";
     }
   }

@@ -8,7 +8,7 @@
 #   scripts/ci.sh tier1      # build + ctest only
 #   scripts/ci.sh tsan       # TSan build of the concurrent tests only
 #   scripts/ci.sh asan       # ASan+UBSan build of the robustness-critical tests
-#   scripts/ci.sh obs        # tfft2 with --trace-out/--metrics-out + validation
+#   scripts/ci.sh obs        # trace/metrics/profile export + telemetry invariants
 #   scripts/ci.sh fault      # fault-injection/budget matrix: degraded but sound
 #   scripts/ci.sh symval     # symbolic-vs-trace differential + BENCH_symval.json
 #   scripts/ci.sh bench      # reproduction benches only
@@ -243,9 +243,10 @@ coverage() {
 }
 
 obs() {
-  # End-to-end observability smoke: the acceptance command from the obs PR.
-  # Runs the paper's example with tracing + metrics export and validates
-  # both JSON artifacts (parseable, required span names, stable metric keys).
+  # End-to-end observability smoke: runs the paper's example with tracing,
+  # metrics and profile export and validates the JSON artifacts (parseable,
+  # required span names, stable metric keys), then checks the telemetry's
+  # reconciliation invariants (scripts/check_telemetry.py) with a self-test.
   echo "=== obs: trace/metrics export + JSON validation ==="
   cmake -B build -S .
   cmake --build build -j "$jobs" --target tfft2_pipeline
@@ -282,7 +283,7 @@ assert not missing, f"metrics.json missing counters: {sorted(missing)}"
 assert "ad.ilp.variables" in metrics["gauges"], "missing ILP gauges"
 
 profile = json.load(open("profile.json"))
-assert profile["schema"] == "ad.profile.v1", profile.get("schema")
+assert profile["schema"] == "ad.profile.v2", profile.get("schema")
 thread_names = {row["name"] for row in profile["threads"]}
 assert "main" in thread_names, f"no main thread row: {sorted(thread_names)}"
 print(f"obs smoke ok: {len(events)} trace events, "
@@ -290,6 +291,49 @@ print(f"obs smoke ok: {len(events)} trace events, "
       f"{len(metrics['gauges'])} gauges, {len(metrics['histograms'])} histograms, "
       f"{len(profile['threads'])} profile thread rows")
 EOF
+  python3 scripts/check_telemetry.py trace.json profile.json
+
+  # The telemetry must add up under concurrency too: a batch on four workers
+  # with helping joins, checked for proper nesting, self time >= 0, rows
+  # within wall and rows equal to the trace's per-tid self time.
+  ./build/examples/tfft2_pipeline --suite --jobs 4 \
+    --trace-out=trace.json --profile-out=profile.json >/dev/null
+  python3 scripts/check_telemetry.py trace.json profile.json
+
+  # Self-test: the checker must reject a trace with two partially
+  # overlapping spans on one tid, and a profile row whose work exceeds wall.
+  local doctored out
+  doctored="$(mktemp -d)"
+  python3 - "$doctored" <<'EOF'
+import json, sys
+
+root = sys.argv[1]
+trace = json.load(open("trace.json"))
+spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+wall = max(e["ts"] + e["dur"] for e in spans) - min(e["ts"] for e in spans)
+for ts in (0, 5):
+    trace["traceEvents"].append({"name": "doctored", "cat": "test", "ph": "X",
+                                 "ts": ts, "dur": 10, "pid": 1, "tid": spans[-1]["tid"]})
+json.dump(trace, open(f"{root}/overlap_trace.json", "w"))
+profile = json.load(open("profile.json"))
+profile["threads"][0]["work_us"] = wall + 1
+json.dump(profile, open(f"{root}/overwork_profile.json", "w"))
+EOF
+  if out="$(python3 scripts/check_telemetry.py "$doctored/overlap_trace.json" profile.json 2>&1)" \
+      || ! grep -q "partially overlaps" <<<"$out"; then
+    echo "FAIL: check_telemetry accepted partially overlapping spans on one tid" >&2
+    rm -rf "$doctored"
+    exit 1
+  fi
+  echo "ok (self-test): partially overlapping spans rejected"
+  if out="$(python3 scripts/check_telemetry.py trace.json "$doctored/overwork_profile.json" 2>&1)" \
+      || ! grep -q "exceeds wall" <<<"$out"; then
+    echo "FAIL: check_telemetry accepted a profile row with work_us > wall" >&2
+    rm -rf "$doctored"
+    exit 1
+  fi
+  rm -rf "$doctored"
+  echo "ok (self-test): profile row over wall rejected"
 }
 
 baselines() {
@@ -353,7 +397,8 @@ EOF
 
   # Structural schema check of the contention artifact before it is compared
   # or uploaded: the ad.bench.contention.v1 shape plus the embedded
-  # ad.profile.v1 summary with per-thread rows and shard families.
+  # ad.profile.v2 summary with per-thread rows, the pool-wide queue-latency
+  # histogram and shard families.
   python3 - <<'EOF'
 import json
 
@@ -363,12 +408,13 @@ for key in ("reps", "off_ms", "on_ms", "overhead_pct", "profile"):
     assert key in doc, f"missing {key}"
 assert doc["reps"] >= 3 and doc["off_ms"] > 0 and doc["on_ms"] > 0
 profile = doc["profile"]
-assert profile["schema"] == "ad.profile.v1", profile.get("schema")
+assert profile["schema"] == "ad.profile.v2", profile.get("schema")
 assert profile["threads"], "profile has no per-thread rows"
 for row in profile["threads"]:
-    for key in ("name", "tasks", "work_us", "queue_wait_us", "lock_wait_us",
+    for key in ("name", "tid", "tasks", "work_us", "lock_wait_us",
                 "idle_us", "steals", "helped"):
         assert key in row, f"thread row missing {key}: {row}"
+assert profile["queue_wait_us"]["count"] > 0, "no queue-latency samples"
 for family in ("intern.expr", "memo.context", "memo.registry", "loc.phase_array"):
     assert family in profile["shards"], f"missing shard family {family}"
     assert family in profile["lock_wait_us"], f"missing lock-wait histogram {family}"

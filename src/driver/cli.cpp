@@ -51,7 +51,7 @@ std::string cliUsage(std::string_view argv0) {
       "                  tag%P:SEED, comma-separated (see docs/ROBUSTNESS.md)\n"
       "  --budget-steps N  prover step budget (0 = unlimited)\n"
       "  --budget-ms N     analysis wall-clock deadline (0 = none)\n"
-      "  --profile-out=FILE  write the ad.profile.v1 contention summary\n"
+      "  --profile-out=FILE  write the ad.profile.v2 contention summary\n"
       "                  (per-thread wait/work tracks, per-shard lock stats);\n"
       "                  also enables the profiler for the run\n"
       "  --serve=PATH    run the analysis service on a Unix socket at PATH\n"

@@ -33,7 +33,7 @@ struct CliOptions {
 
   std::string traceOut;    ///< --trace-out=FILE
   std::string metricsOut;  ///< --metrics-out=FILE
-  std::string profileOut;  ///< --profile-out=FILE (ad.profile.v1 summary)
+  std::string profileOut;  ///< --profile-out=FILE (ad.profile.v2 summary)
 
   std::string faultSpec;       ///< --fault SPEC (see support/fault.hpp grammar)
   std::int64_t budgetSteps = 0;  ///< --budget-steps N (0 = unlimited)

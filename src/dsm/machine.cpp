@@ -152,12 +152,6 @@ std::int64_t SimulationResult::totalRemoteAccesses() const {
   return n;
 }
 
-std::int64_t SimulationResult::totalWordsMoved() const {
-  std::int64_t n = 0;
-  for (const auto& r : redistributions) n += r.wordsMoved;
-  return n;
-}
-
 std::string SimulationResult::str() const {
   std::ostringstream os;
   for (const auto& p : phases) {

@@ -107,11 +107,6 @@ struct PhaseStats {
   std::vector<double> peTime;  ///< per-processor busy time
   double time = 0.0;           ///< max over processors
   double seqTime = 0.0;        ///< all accesses at local cost (1 processor)
-
-  [[nodiscard]] double remoteFraction() const {
-    const auto total = localAccesses + remoteAccesses;
-    return total == 0 ? 0.0 : static_cast<double>(remoteAccesses) / static_cast<double>(total);
-  }
 };
 
 struct RedistributionStats {
@@ -185,7 +180,6 @@ struct SimulationResult {
     return speedup() / static_cast<double>(processors);
   }
   [[nodiscard]] std::int64_t totalRemoteAccesses() const;
-  [[nodiscard]] std::int64_t totalWordsMoved() const;
 
   [[nodiscard]] std::string str() const;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 namespace ad::obs {
 
@@ -89,6 +90,24 @@ std::int64_t Histogram::bucketCount(std::size_t i) const noexcept {
   return i < kBuckets ? buckets_[i].load(std::memory_order_relaxed) : 0;
 }
 
+std::string Histogram::toJson() const {
+  std::ostringstream os;
+  os << "{\"count\": " << count() << ", \"sum\": " << sum() << ", \"min\": " << minValue()
+     << ", \"max\": " << maxValue() << ", \"buckets\": [";
+  // Only buckets up to the last non-empty one: keeps the document small
+  // without losing information (trailing buckets are zero).
+  std::size_t lastUsed = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    if (bucketCount(i) > 0) lastUsed = i;
+  }
+  for (std::size_t i = 0; i <= lastUsed; ++i) {
+    os << (i == 0 ? "" : ", ") << "{\"le\": " << bucketBound(i)
+       << ", \"count\": " << bucketCount(i) << "}";
+  }
+  os << "]}";
+  return os.str();
+}
+
 void Histogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.reset();
@@ -156,19 +175,7 @@ std::string MetricsRegistry::toJson() const {
   for (const auto& [name, h] : histograms_) {
     os << (first ? "\n" : ",\n") << "    \"";
     appendEscaped(os, name);
-    os << "\": {\"count\": " << h->count() << ", \"sum\": " << h->sum()
-       << ", \"min\": " << h->minValue() << ", \"max\": " << h->maxValue() << ", \"buckets\": [";
-    // Only buckets up to the last non-empty one: keeps the document small
-    // without losing information (trailing buckets are zero).
-    std::size_t lastUsed = 0;
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (h->bucketCount(i) > 0) lastUsed = i;
-    }
-    for (std::size_t i = 0; i <= lastUsed; ++i) {
-      os << (i == 0 ? "" : ", ") << "{\"le\": " << Histogram::bucketBound(i)
-         << ", \"count\": " << h->bucketCount(i) << "}";
-    }
-    os << "]}";
+    os << "\": " << h->toJson();
     first = false;
   }
   os << (first ? "" : "\n  ") << "}\n}\n";
@@ -185,7 +192,24 @@ MetricsRegistry& metrics() {
 // ---------------------------------------------------------------------------
 
 namespace {
-thread_local std::int64_t g_traceTid = 0;
+
+const std::thread::id kMainThread = std::this_thread::get_id();
+std::atomic<std::int64_t> g_nextTid{1};
+
+/// The calling thread's tracing state: its tid, its innermost open span and
+/// its track in the process tracer (registered on first need, marked exited
+/// when the thread ends so clear() can forget it).
+struct ThreadState {
+  std::int64_t tid = -1;
+  std::string name;
+  Span* open = nullptr;
+  Tracer::Track* track = nullptr;
+  ~ThreadState() {
+    if (track != nullptr) track->exited.store(true, std::memory_order_release);
+  }
+};
+thread_local ThreadState tlState;
+
 }  // namespace
 
 std::int64_t Tracer::nowUs() const {
@@ -194,31 +218,88 @@ std::int64_t Tracer::nowUs() const {
       .count();
 }
 
-void Tracer::record(TraceEvent e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
+std::int64_t Tracer::currentThreadId() noexcept {
+  ThreadState& ts = tlState;
+  if (ts.tid < 0) {
+    ts.tid = std::this_thread::get_id() == kMainThread
+                 ? 0
+                 : g_nextTid.fetch_add(1, std::memory_order_relaxed);
+  }
+  return ts.tid;
 }
 
-void Tracer::nameThread(std::int64_t tid, std::string name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  threadNames_[tid] = std::move(name);
+Tracer::Track& Tracer::currentTrack() {
+  ThreadState& ts = tlState;
+  if (ts.track == nullptr) {
+    auto track = std::make_unique<Track>();
+    track->data.tid = currentThreadId();
+    track->data.name = !ts.name.empty() ? ts.name : track->data.tid == 0 ? "main" : "thread";
+    std::lock_guard<std::mutex> lock(mu_);
+    ts.track = track.get();
+    tracks_.push_back(std::move(track));
+  }
+  return *ts.track;
 }
 
-void Tracer::setCurrentThreadId(std::int64_t tid) noexcept { g_traceTid = tid; }
-std::int64_t Tracer::currentThreadId() noexcept { return g_traceTid; }
+void Tracer::nameCurrentThread(std::string name) {
+  ThreadState& ts = tlState;
+  ts.name = std::move(name);
+  if (ts.track == nullptr && !active()) return;
+  Track& track = currentTrack();
+  std::lock_guard<std::mutex> lock(mu_);
+  track.data.name = ts.name;
+}
+
+void Tracer::registerCurrentThread() { (void)currentTrack(); }
+
+void Tracer::fold(Span& span, std::int64_t endUs) {
+  const std::int64_t dur = endUs - span.startUs_;
+  tlState.open = span.parent_;
+  if (span.parent_ != nullptr) span.parent_->childUs_ += dur;
+  Track& track = currentTrack();
+  {
+    std::lock_guard<std::mutex> lock(track.mu);
+    SpanStats& s = track.data.spans[span.name_][span.cat_];
+    ++s.count;
+    s.totalUs += dur;
+    s.selfUs += dur - span.childUs_;
+  }
+  if (!enabled()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.push_back(TraceEvent{std::move(span.name_), std::move(span.cat_), span.startUs_, dur,
+                               track.data.tid});
+}
 
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_;
 }
 
-std::map<std::string, SpanStats> Tracer::statsByName() const {
+std::vector<ThreadSpans> Tracer::statsByThread() const {
   std::lock_guard<std::mutex> lock(mu_);
+  std::vector<ThreadSpans> out;
+  out.reserve(tracks_.size());
+  for (const auto& track : tracks_) {
+    ThreadSpans& row = out.emplace_back();
+    row.tid = track->data.tid;
+    row.name = track->data.name;
+    std::lock_guard<std::mutex> trackLock(track->mu);
+    row.spans = track->data.spans;
+  }
+  return out;
+}
+
+std::map<std::string, SpanStats> Tracer::statsByName() const {
   std::map<std::string, SpanStats> out;
-  for (const auto& e : events_) {
-    SpanStats& s = out[e.name];
-    ++s.count;
-    s.totalUs += e.dur;
+  for (const ThreadSpans& thread : statsByThread()) {
+    for (const auto& [name, byCat] : thread.spans) {
+      SpanStats& o = out[name];
+      for (const auto& [cat, s] : byCat) {
+        o.count += s.count;
+        o.totalUs += s.totalUs;
+        o.selfUs += s.selfUs;
+      }
+    }
   }
   return out;
 }
@@ -226,7 +307,13 @@ std::map<std::string, SpanStats> Tracer::statsByName() const {
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
-  threadNames_.clear();
+  std::erase_if(tracks_, [](const std::unique_ptr<Track>& t) {
+    return t->exited.load(std::memory_order_acquire);
+  });
+  for (const auto& track : tracks_) {
+    std::lock_guard<std::mutex> trackLock(track->mu);
+    track->data.spans.clear();
+  }
 }
 
 std::string Tracer::toJson() const {
@@ -234,11 +321,11 @@ std::string Tracer::toJson() const {
   std::ostringstream os;
   os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   bool first = true;
-  for (const auto& [tid, name] : threadNames_) {
+  for (const auto& track : tracks_) {
     os << (first ? "" : ",\n")
-       << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
+       << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " << track->data.tid
        << ", \"args\": {\"name\": \"";
-    appendEscaped(os, name);
+    appendEscaped(os, track->data.name);
     os << "\"}}";
     first = false;
   }
@@ -262,19 +349,19 @@ Tracer& tracer() {
 
 Span::Span(std::string_view name, std::string_view cat) {
   Tracer& t = tracer();
-  if (!t.enabled()) return;
+  if (!t.active()) return;
   active_ = true;
   name_.assign(name);
   cat_.assign(cat);
+  parent_ = tlState.open;
+  tlState.open = this;
   startUs_ = t.nowUs();
 }
 
 Span::~Span() {
   if (!active_) return;
   Tracer& t = tracer();
-  const std::int64_t end = t.nowUs();
-  t.record(TraceEvent{std::move(name_), std::move(cat_), startUs_, end - startUs_,
-                      Tracer::currentThreadId()});
+  t.fold(*this, t.nowUs());
 }
 
 }  // namespace ad::obs

@@ -2,10 +2,13 @@
 //
 // Two process-wide singletons, both thread-safe:
 //
-//  - obs::tracer() collects timed span events. obs::Span is an RAII scope
-//    that records one Chrome/Perfetto "complete" event (ph:"X") when the
-//    tracer is enabled; when disabled (the default) the constructor is a
-//    single relaxed atomic load and nothing else — instrumentation stays in
+//  - obs::tracer() is the one telemetry stream. obs::Span is an RAII scope;
+//    its close is the only event. While the tracer is active it folds the
+//    span's count, inclusive and self time into a per-(OS thread, name)
+//    aggregate (stage tables and the profiler's thread rows read these),
+//    and with trace export on it also keeps one Chrome/Perfetto "complete"
+//    event (ph:"X"). Inactive (the default), the constructor is a single
+//    relaxed atomic load and nothing else — instrumentation stays in
 //    release builds at near-zero cost. Tracer::toJson() renders the Chrome
 //    trace-event format that chrome://tracing and ui.perfetto.dev load
 //    directly.
@@ -86,6 +89,9 @@ class Histogram {
   [[nodiscard]] std::int64_t bucketCount(std::size_t i) const noexcept;
   /// Inclusive upper bound of bucket i; INT64_MAX for the overflow bucket.
   [[nodiscard]] static std::int64_t bucketBound(std::size_t i) noexcept;
+  /// {"count","sum","min","max","buckets":[{"le","count"}...]} up to the
+  /// last non-empty bucket.
+  [[nodiscard]] std::string toJson() const;
   void reset() noexcept;
 
  private:
@@ -136,59 +142,95 @@ struct TraceEvent {
   std::int64_t tid = 0;
 };
 
+/// Folded closed spans of one name (and, per thread, one category).
 struct SpanStats {
   std::int64_t count = 0;
-  std::int64_t totalUs = 0;
+  std::int64_t totalUs = 0;  ///< inclusive: the spans' summed durations
+  std::int64_t selfUs = 0;   ///< exclusive: minus the spans nested directly inside
 };
+
+/// One OS thread's folded spans: trace tid, track name, and aggregates keyed
+/// by span name, then category.
+struct ThreadSpans {
+  std::int64_t tid = 0;
+  std::string name;
+  std::map<std::string, std::map<std::string, SpanStats, std::less<>>, std::less<>> spans;
+};
+
+class Span;
 
 class Tracer {
  public:
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
-  void enable() { enabled_.store(true, std::memory_order_relaxed); }
-  void disable() { enabled_.store(false, std::memory_order_relaxed); }
+  /// Trace export: closed spans also keep raw events (snapshot(), toJson()).
+  void enable() { mode_.fetch_or(kEvents, std::memory_order_relaxed); }
+  void disable() { mode_.fetch_and(~kEvents, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
+    return (mode_.load(std::memory_order_relaxed) & kEvents) != 0;
+  }
+  /// Folding only (the profiler): no raw events, so memory stays bounded.
+  void enableFolding() { mode_.fetch_or(kFolding, std::memory_order_relaxed); }
+  void disableFolding() { mode_.fetch_and(~kFolding, std::memory_order_relaxed); }
+  /// True while spans record at all (either switch on).
+  [[nodiscard]] bool active() const noexcept {
+    return mode_.load(std::memory_order_relaxed) != 0;
   }
 
   /// Microseconds since the tracer was constructed (works while disabled).
   [[nodiscard]] std::int64_t nowUs() const;
 
-  void record(TraceEvent e);
-
-  /// Associates `tid` with a display name (emitted as thread_name metadata).
-  void nameThread(std::int64_t tid, std::string name);
-
-  /// The logical trace tid of the calling thread (0 unless set). The sim's
-  /// workers set their simulated-processor number so their spans land on
-  /// separate tracks in Perfetto.
-  static void setCurrentThreadId(std::int64_t tid) noexcept;
+  /// The calling thread's trace tid: unique per OS thread, assigned on first
+  /// use (the process's main thread is 0, the others count up from 1).
   [[nodiscard]] static std::int64_t currentThreadId() noexcept;
+  /// Names the calling thread's track (trace thread_name, profile row name);
+  /// unnamed threads are "main" (the process's main thread) or "thread".
+  void nameCurrentThread(std::string name);
+  /// Gives the calling thread a track (a profile row) before its first span.
+  void registerCurrentThread();
 
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
-  /// Aggregated wall time per span name (for per-stage breakdowns).
+  /// Span aggregates per thread, in registration order.
+  [[nodiscard]] std::vector<ThreadSpans> statsByThread() const;
+  /// Span aggregates per name, summed over threads and categories.
   [[nodiscard]] std::map<std::string, SpanStats> statsByName() const;
 
-  /// Drops all recorded events and thread names; keeps the enabled state.
+  /// Drops raw events, zeroes aggregates, forgets exited threads' tracks.
   void clear();
 
   /// Chrome trace-event JSON document ({"traceEvents":[...]}).
   [[nodiscard]] std::string toJson() const;
 
+  struct Track {
+    ThreadSpans data;  ///< tid is fixed; name is guarded by Tracer::mu_
+    std::mutex mu;     ///< guards data.spans: the owning thread folds, readers copy
+    std::atomic<bool> exited{false};  ///< set when the owning thread ends
+  };
+
  private:
-  std::atomic<bool> enabled_{false};
+  friend class Span;
+  static constexpr unsigned kEvents = 1;
+  static constexpr unsigned kFolding = 2;
+
+  Track& currentTrack();
+  void fold(Span& span, std::int64_t endUs);
+
+  std::atomic<unsigned> mode_{0};
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards events_ and tracks_ (and their names)
   std::vector<TraceEvent> events_;
-  std::map<std::int64_t, std::string> threadNames_;
+  std::vector<std::unique_ptr<Track>> tracks_;
 };
 
 /// The process-wide tracer.
 Tracer& tracer();
 
-/// RAII span: records one complete event on the process tracer covering the
-/// scope's lifetime. When the tracer is disabled, construction is one
-/// relaxed load and destruction a branch — no clock reads, no allocation.
+/// RAII span on the process tracer. Inactive tracer: construction is one
+/// relaxed load, destruction a branch — no clock reads, no allocation. At
+/// close an active span adds its duration to its parent's child time (the
+/// innermost span open on the same thread) and folds its self time
+/// (duration minus its children's) into the thread's aggregates, so a pool
+/// task helped inside a waiting span is that span's child, not its work.
 class Span {
  public:
   explicit Span(std::string_view name, std::string_view cat = "pipeline");
@@ -198,9 +240,12 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
+  friend class Tracer;
   std::string name_;
   std::string cat_;
+  Span* parent_ = nullptr;
   std::int64_t startUs_ = 0;
+  std::int64_t childUs_ = 0;
   bool active_ = false;
 };
 

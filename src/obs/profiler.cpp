@@ -6,22 +6,8 @@ namespace ad::obs {
 
 namespace {
 
-// The calling thread's cached row. One global profiler, so one slot.
-thread_local ThreadStats* tlStats = nullptr;
-
-void appendHistogram(std::ostream& os, const Histogram& h) {
-  os << "{\"count\": " << h.count() << ", \"sum\": " << h.sum() << ", \"min\": " << h.minValue()
-     << ", \"max\": " << h.maxValue() << ", \"buckets\": [";
-  std::size_t lastUsed = 0;
-  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-    if (h.bucketCount(i) > 0) lastUsed = i;
-  }
-  for (std::size_t i = 0; i <= lastUsed; ++i) {
-    os << (i == 0 ? "" : ", ") << "{\"le\": " << Histogram::bucketBound(i)
-       << ", \"count\": " << h.bucketCount(i) << "}";
-  }
-  os << "]}";
-}
+/// Submit -> start latency of pool tasks, fed by support::ThreadPool.
+constexpr std::string_view kQueueWaitMetric = "ad.pool.queue_wait_us";
 
 }  // namespace
 
@@ -35,44 +21,20 @@ const char* shardFamilyName(ShardFamily f) {
   return "unknown";
 }
 
-ThreadStats& Profiler::threadStats(std::string_view name) {
-  if (tlStats != nullptr) return *tlStats;
-  bindCurrentThread(name);
-  return *tlStats;
+void Profiler::enable() {
+  tracer().enableFolding();
+  tracer().registerCurrentThread();
+  enabled_.store(true, std::memory_order_relaxed);
 }
 
-void Profiler::bindCurrentThread(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < trackCount_; ++i) {
-    if (tracks_[i].name == name) {
-      tlStats = &tracks_[i].stats;
-      return;
-    }
-  }
-  if (trackCount_ < kMaxThreads) {
-    tracks_[trackCount_].name.assign(name);
-    tlStats = &tracks_[trackCount_].stats;
-    ++trackCount_;
-    return;
-  }
-  // Table full: overflow rows share the last slot rather than dropping data.
-  tlStats = &tracks_[kMaxThreads - 1].stats;
+void Profiler::disable() {
+  enabled_.store(false, std::memory_order_relaxed);
+  tracer().disableFolding();
 }
-
-std::int64_t Profiler::nowUs() { return tracer().nowUs(); }
 
 void Profiler::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < trackCount_; ++i) {
-    ThreadStats& t = tracks_[i].stats;
-    t.workUs.store(0, std::memory_order_relaxed);
-    t.queueWaitUs.store(0, std::memory_order_relaxed);
-    t.lockWaitUs.store(0, std::memory_order_relaxed);
-    t.idleUs.store(0, std::memory_order_relaxed);
-    t.tasks.store(0, std::memory_order_relaxed);
-    t.steals.store(0, std::memory_order_relaxed);
-    t.helped.store(0, std::memory_order_relaxed);
-  }
+  tracer().clear();
+  metrics().histogram(kQueueWaitMetric).reset();
   for (auto& family : shards_) {
     for (auto& s : family) {
       s.acquisitions.store(0, std::memory_order_relaxed);
@@ -87,25 +49,33 @@ void Profiler::reset() {
 }
 
 std::string Profiler::summary() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
   os << "{\n  \"schema\": \"" << kProfileSchema << "\",\n";
 
   os << "  \"threads\": [";
   bool first = true;
-  for (std::size_t i = 0; i < trackCount_; ++i) {
-    const ThreadStats& t = tracks_[i].stats;
-    os << (first ? "\n" : ",\n") << "    {\"name\": \"" << tracks_[i].name
-       << "\", \"tasks\": " << t.tasks.load(std::memory_order_relaxed)
-       << ", \"work_us\": " << t.workUs.load(std::memory_order_relaxed)
-       << ", \"queue_wait_us\": " << t.queueWaitUs.load(std::memory_order_relaxed)
-       << ", \"lock_wait_us\": " << t.lockWaitUs.load(std::memory_order_relaxed)
-       << ", \"idle_us\": " << t.idleUs.load(std::memory_order_relaxed)
-       << ", \"steals\": " << t.steals.load(std::memory_order_relaxed)
-       << ", \"helped\": " << t.helped.load(std::memory_order_relaxed) << "}";
+  for (const ThreadSpans& t : tracer().statsByThread()) {
+    std::int64_t self = 0, idle = 0, lockWait = 0, tasks = 0, steals = 0, helped = 0;
+    for (const auto& [name, byCat] : t.spans) {
+      for (const auto& [cat, s] : byCat) {
+        self += s.selfUs;
+        if (name == "pool.idle") idle += s.selfUs;
+        if (name == "lock.wait") lockWait += s.selfUs;
+        if (name != "pool.task") continue;
+        tasks += s.count;
+        if (cat == "pool.steal") steals += s.count;
+        if (cat == "pool.help") helped += s.count;
+      }
+    }
+    os << (first ? "\n" : ",\n") << "    {\"name\": \"" << t.name << "\", \"tid\": " << t.tid
+       << ", \"tasks\": " << tasks << ", \"work_us\": " << self - idle - lockWait
+       << ", \"lock_wait_us\": " << lockWait << ", \"idle_us\": " << idle
+       << ", \"steals\": " << steals << ", \"helped\": " << helped << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "],\n";
+
+  os << "  \"queue_wait_us\": " << metrics().histogram(kQueueWaitMetric).toJson() << ",\n";
 
   os << "  \"shards\": {";
   bool firstFamily = true;
@@ -136,7 +106,7 @@ std::string Profiler::summary() const {
   for (std::size_t f = 0; f < kShardFamilies; ++f) {
     os << (f == 0 ? "\n" : ",\n") << "    \"" << shardFamilyName(static_cast<ShardFamily>(f))
        << "\": ";
-    appendHistogram(os, lockWait_[f]);
+    os << lockWait_[f].toJson();
   }
   os << "\n  }\n}\n";
   return os.str();
@@ -151,13 +121,16 @@ void ShardLock::lockContended(Profiler& p, ShardFamily family, std::size_t index
   ShardStats& s = p.shard(family, index);
   s.acquisitions.fetch_add(1, std::memory_order_relaxed);
   if (mu_.try_lock()) return;
-  const std::int64_t t0 = Profiler::nowUs();
-  mu_.lock();
-  const std::int64_t waited = Profiler::nowUs() - t0;
+  std::int64_t waited = 0;
+  {
+    Span span("lock.wait", "lock");
+    const std::int64_t t0 = tracer().nowUs();
+    mu_.lock();
+    waited = tracer().nowUs() - t0;
+  }
   s.contended.fetch_add(1, std::memory_order_relaxed);
   s.lockWaitUs.fetch_add(waited, std::memory_order_relaxed);
   p.lockWaitHistogram(family).observe(waited);
-  p.threadStats("main").lockWaitUs.fetch_add(waited, std::memory_order_relaxed);
 }
 
 }  // namespace ad::obs

@@ -8,27 +8,27 @@
 // way the paper's descriptors turn opaque traffic into attributable
 // per-reference costs:
 //
-//  - Per-thread tracks (ThreadStats): work vs. queue-wait vs. lock-wait vs.
-//    idle time, plus task/steal tallies. Threads register by *name*
-//    ("pool.w0", "main"), so short-lived workers from successive pools
-//    accumulate into stable rows instead of leaking one row per std::thread.
+//  - Per-thread rows, derived from the tracer's span aggregates, one per OS
+//    thread (trace tid and track name): idle_us is the self time of
+//    `pool.idle` spans, lock_wait_us that of `lock.wait` spans (ShardLock's
+//    contended path), work_us the rest, and tasks/steals/helped count its
+//    `pool.task` spans. Self time excludes nested spans, so a helped task
+//    counts once and work + lock-wait + idle stays within wall time.
 //
 //  - Per-shard lock accounting (ShardStats): the interned-expression arena
 //    and the proof memo time every contended mutex acquisition per shard,
 //    and count hits/misses per shard, so "the memo is hot" becomes "shard 5
 //    of the memo context table eats 80% of the lock-wait".
 //
-//  - Export: summary() renders a stable-schema "ad.profile.v1" JSON document
-//    (--profile-out); per-thread task activity also lands in the Chrome/
-//    Perfetto trace through the existing obs::Tracer (--trace-out), because
-//    the pool workers carry named trace tids while the profiler is enabled.
+//  - Export: summary() renders a stable-schema "ad.profile.v2" JSON document
+//    (--profile-out) with the pool-wide queue-latency histogram (a property
+//    of tasks, not thread time). With --trace-out too, rows equal the
+//    trace's per-tid self times.
 //
-// Cost discipline: when disabled (the default) every instrumentation point
-// is a single relaxed atomic load — no clock reads, no allocation, no
-// locking — mirroring obs::Span. Enabled, the hot additions are two
-// steady_clock reads per pool task and one try_lock per profiled mutex;
-// bench/contention_profile measures the total below 5% on the six-code
-// suite and records it in BENCH_contention.json.
+// Cost discipline: disabled (the default), every instrumentation point is a
+// single relaxed atomic load, mirroring obs::Span. Enabled, spans fold into
+// per-thread aggregates (no raw events) and each profiled mutex costs one
+// try_lock; bench/contention_profile gates the total below 5%.
 #pragma once
 
 #include <atomic>
@@ -41,20 +41,7 @@
 
 namespace ad::obs {
 
-inline constexpr std::string_view kProfileSchema = "ad.profile.v1";
-
-/// One named per-thread accounting track. All fields are relaxed atomics:
-/// the owning thread is the only writer on the hot path, and readers only
-/// need eventually-consistent totals for the summary document.
-struct alignas(64) ThreadStats {
-  std::atomic<std::int64_t> workUs{0};         ///< inside task bodies
-  std::atomic<std::int64_t> queueWaitUs{0};    ///< tasks' submit->start latency
-  std::atomic<std::int64_t> lockWaitUs{0};     ///< contended profiled mutexes
-  std::atomic<std::int64_t> idleUs{0};         ///< parked on the pool idle CV
-  std::atomic<std::int64_t> tasks{0};
-  std::atomic<std::int64_t> steals{0};  ///< tasks taken from another worker
-  std::atomic<std::int64_t> helped{0};  ///< tasks run inside TaskGroup::wait
-};
+inline constexpr std::string_view kProfileSchema = "ad.profile.v2";
 
 /// Per-shard lock/cache accounting for one sharded structure.
 struct alignas(64) ShardStats {
@@ -85,28 +72,13 @@ inline constexpr std::size_t kMaxShardsPerFamily = 64;
 
 class Profiler {
  public:
-  /// Enables recording and binds the calling thread as the "main" row, so a
-  /// profile always has the coordinating thread even when it never touches a
-  /// contended shard (workers bind themselves as "pool.wN").
-  void enable() {
-    threadStats("main");
-    enabled_.store(true, std::memory_order_relaxed);
-  }
-  void disable() { enabled_.store(false, std::memory_order_relaxed); }
+  /// Turns on the tracer's span folding and gives the calling thread a row,
+  /// so a profile always has the coordinating thread.
+  void enable();
+  void disable();
   [[nodiscard]] bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
   }
-
-  /// The calling thread's track. First use binds the thread to `name`
-  /// (creating the row if new); later calls ignore `name` and return the
-  /// cached binding. Rows are shared by name: successive pools' "pool.w0"
-  /// workers accumulate into one row. Safe while disabled (rows register so
-  /// the exported schema is stable).
-  ThreadStats& threadStats(std::string_view name);
-
-  /// Rebinds the calling thread to `name` (pool workers and sim workers call
-  /// this on entry; helpers that never bind land in "main").
-  void bindCurrentThread(std::string_view name);
 
   [[nodiscard]] ShardStats& shard(ShardFamily family, std::size_t index) noexcept {
     return shards_[static_cast<std::size_t>(family)][index % kMaxShardsPerFamily];
@@ -117,31 +89,17 @@ class Profiler {
     return lockWait_[static_cast<std::size_t>(family)];
   }
 
-  /// Microsecond clock shared with the tracer (so profile numbers and trace
-  /// timestamps line up).
-  [[nodiscard]] static std::int64_t nowUs();
-
-  /// Zeroes every row and shard cell; name registrations survive, matching
-  /// MetricsRegistry::reset().
+  /// Zeroes every shard cell and histogram and clears the tracer (the rows'
+  /// source), so rows and trace restart together.
   void reset();
 
-  /// Stable-schema "ad.profile.v1" JSON: per-thread wait-vs-work rows,
-  /// per-shard lock/cache rows (only shards with any traffic), per-family
-  /// lock-wait histograms.
+  /// Stable-schema "ad.profile.v2" JSON: per-thread rows from the span
+  /// aggregates, the queue-latency histogram, per-shard lock/cache rows
+  /// (only shards with any traffic), per-family lock-wait histograms.
   [[nodiscard]] std::string summary() const;
 
  private:
   std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;  ///< guards names_ registration only
-  // Fixed-capacity name table: rows never move once handed out (threads cache
-  // the pointer), and the profile document wants a bounded, stable row set.
-  static constexpr std::size_t kMaxThreads = 64;
-  struct NamedTrack {
-    std::string name;
-    ThreadStats stats;
-  };
-  NamedTrack tracks_[kMaxThreads];
-  std::size_t trackCount_ = 0;
   ShardStats shards_[kShardFamilies][kMaxShardsPerFamily];
   Histogram lockWait_[kShardFamilies];
 };
@@ -149,8 +107,9 @@ class Profiler {
 /// The process-wide profiler.
 Profiler& profiler();
 
-/// Mutex guard that attributes contended acquisitions to (family, shard) and
-/// the calling thread. Disabled profiler: one relaxed load + plain lock.
+/// Mutex guard that attributes contended acquisitions to (family, shard) and,
+/// through a `lock.wait` span, to the calling thread. Disabled profiler: one
+/// relaxed load + plain lock.
 class ShardLock {
  public:
   ShardLock(std::mutex& mu, ShardFamily family, std::size_t index) : mu_(mu) {

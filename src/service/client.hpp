@@ -48,7 +48,6 @@ class Client {
   [[nodiscard]] Expected<Response> callOnce(const Request& request);
 
   void close();
-  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
   /// Shed responses absorbed by retries across all call()s (observability).
   [[nodiscard]] std::int64_t shedRetries() const noexcept { return shedRetries_; }
 

@@ -227,12 +227,14 @@ void SocketServer::closeAllConnections() {
 
 void SocketServer::stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
+  // Unblock accept(), but close and clear the listener only after the accept
+  // thread is joined: it reads listenFd_ for every accept() call.
+  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
+  if (acceptThread_.joinable()) acceptThread_.join();
   if (listenFd_ >= 0) {
-    ::shutdown(listenFd_, SHUT_RDWR);  // unblock accept()
     ::close(listenFd_);
     listenFd_ = -1;
   }
-  if (acceptThread_.joinable()) acceptThread_.join();
   closeAllConnections();
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "support/budget.hpp"
 #include "support/fault.hpp"
 
@@ -35,11 +34,8 @@ ThreadPool::ThreadPool(std::size_t threads) {
   tasksCounter_ = &obs::metrics().counter("ad.pool.tasks");
   stealsCounter_ = &obs::metrics().counter("ad.pool.steals");
   idleCounter_ = &obs::metrics().counter("ad.pool.idle_us");
+  queueWait_ = &obs::metrics().histogram("ad.pool.queue_wait_us");
   obs::metrics().gauge("ad.pool.threads").set(static_cast<std::int64_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    obs::tracer().nameThread(kTraceTidBase + static_cast<std::int64_t>(i),
-                             "pool.w" + std::to_string(i));
-  }
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { workerLoop(i); });
@@ -63,8 +59,7 @@ void ThreadPool::submit(std::function<void()> task) {
       inner();
     };
   }
-  Item item{std::move(task),
-            obs::profiler().enabled() ? obs::Profiler::nowUs() : 0};
+  Item item{std::move(task), obs::tracer().active() ? obs::tracer().nowUs() : 0};
   const std::size_t slot =
       (tlPool == this) ? tlWorker : count_;  // own deque or injection queue
   {
@@ -85,7 +80,7 @@ ThreadPool::Taken ThreadPool::take(std::size_t index) {
     Queue& own = *queues_[index];
     std::lock_guard<std::mutex> lock(own.mu);
     if (!own.tasks.empty()) {
-      Taken t{std::move(own.tasks.back()), TaskSource::kOwn};
+      Taken t{std::move(own.tasks.back())};
       own.tasks.pop_back();
       return t;
     }
@@ -95,7 +90,7 @@ ThreadPool::Taken ThreadPool::take(std::size_t index) {
     Queue& inj = *queues_[count_];
     std::lock_guard<std::mutex> lock(inj.mu);
     if (!inj.tasks.empty()) {
-      Taken t{std::move(inj.tasks.front()), TaskSource::kInjected};
+      Taken t{std::move(inj.tasks.front())};
       inj.tasks.pop_front();
       return t;
     }
@@ -110,7 +105,7 @@ ThreadPool::Taken ThreadPool::take(std::size_t index) {
     Queue& q = *queues_[victim];
     std::lock_guard<std::mutex> lock(q.mu);
     if (!q.tasks.empty()) {
-      Taken t{std::move(q.tasks.front()), TaskSource::kStolen};
+      Taken t{std::move(q.tasks.front()), /*stolen=*/true};
       q.tasks.pop_front();
       stealsCounter_->add(1);
       return t;
@@ -121,25 +116,12 @@ ThreadPool::Taken ThreadPool::take(std::size_t index) {
 
 void ThreadPool::runTask(Taken& taken, bool helped) {
   pending_.fetch_sub(1, std::memory_order_release);
-  obs::Span span("pool.task", "pool");
+  obs::Span span("pool.task", helped ? "pool.help" : taken.stolen ? "pool.steal" : "pool");
   tasksCounter_->add(1);
-  obs::Profiler& prof = obs::profiler();
-  if (!prof.enabled()) {
-    taken.item.task();
-    return;
-  }
-  // Queue latency = submit -> start; run time = the body. The executing
-  // thread's track is resolved once per task (thread-local cache inside).
-  obs::ThreadStats& stats = prof.threadStats("main");
-  const std::int64_t start = obs::Profiler::nowUs();
   if (taken.item.enqueueUs > 0) {
-    stats.queueWaitUs.fetch_add(start - taken.item.enqueueUs, std::memory_order_relaxed);
+    queueWait_->observe(obs::tracer().nowUs() - taken.item.enqueueUs);
   }
   taken.item.task();
-  stats.workUs.fetch_add(obs::Profiler::nowUs() - start, std::memory_order_relaxed);
-  stats.tasks.fetch_add(1, std::memory_order_relaxed);
-  if (taken.source == TaskSource::kStolen) stats.steals.fetch_add(1, std::memory_order_relaxed);
-  if (helped) stats.helped.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool ThreadPool::runOneTask() {
@@ -156,16 +138,13 @@ void ThreadPool::waitForWork(const std::function<bool()>& done) {
       done()) {
     return;
   }
-  const std::int64_t t0 = obs::Profiler::nowUs();
+  obs::Span span("pool.idle", "pool");
+  const std::int64_t t0 = obs::tracer().nowUs();
   idleCv_.wait(lock, [this, &done] {
     return stop_.load(std::memory_order_acquire) ||
            pending_.load(std::memory_order_acquire) > 0 || done();
   });
-  const std::int64_t idled = obs::Profiler::nowUs() - t0;
-  idleCounter_->add(idled);
-  if (obs::profiler().enabled()) {
-    obs::profiler().threadStats("main").idleUs.fetch_add(idled, std::memory_order_relaxed);
-  }
+  idleCounter_->add(obs::tracer().nowUs() - t0);
 }
 
 void ThreadPool::notifyWaiters() {
@@ -178,32 +157,20 @@ void ThreadPool::notifyWaiters() {
 void ThreadPool::workerLoop(std::size_t index) {
   tlPool = this;
   tlWorker = index;
-  obs::Tracer::setCurrentThreadId(kTraceTidBase + static_cast<std::int64_t>(index));
-  obs::profiler().bindCurrentThread("pool.w" + std::to_string(index));
+  obs::tracer().nameCurrentThread("pool.w" + std::to_string(index));
   while (true) {
     if (Taken taken = take(index)) {
       runTask(taken, /*helped=*/false);
       continue;
     }
-    std::unique_lock<std::mutex> lock(idleMu_);
     if (stop_.load(std::memory_order_acquire) &&
         pending_.load(std::memory_order_acquire) == 0) {
       break;
     }
-    if (pending_.load(std::memory_order_acquire) > 0) continue;  // re-scan, raced a submit
-    const std::int64_t t0 = obs::Profiler::nowUs();
-    idleCv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    const std::int64_t idled = obs::Profiler::nowUs() - t0;
-    idleCounter_->add(idled);
-    if (obs::profiler().enabled()) {
-      obs::profiler().threadStats("main").idleUs.fetch_add(idled, std::memory_order_relaxed);
-    }
+    // Returns at once if a submit raced the empty take (re-scan).
+    waitForWork([] { return false; });
   }
   tlPool = nullptr;
-  obs::Tracer::setCurrentThreadId(0);
 }
 
 TaskGroup::~TaskGroup() {

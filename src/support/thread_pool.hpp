@@ -15,13 +15,13 @@
 // woken by submit()/group-completion signaling — there is no polling loop.
 // Accumulated park time is exported as ad.pool.idle_us.
 //
-// Observability: every executed task runs under an obs::Span ("pool.task")
-// and bumps ad.pool.tasks / ad.pool.steals in the ad.metrics.v1 registry.
-// When the contention profiler (obs/profiler.hpp) is enabled, each task
-// additionally records its queue latency (submit -> start), run time,
-// executing worker, and provenance (own deque / injected / stolen / helped)
-// into the per-thread ad.profile.v1 tracks, and workers carry named trace
-// tids so their activity lands on separate Perfetto tracks.
+// Observability: every task runs under an obs::Span "pool.task" (category
+// "pool", "pool.steal" when stolen, "pool.help" when a non-worker ran it in
+// TaskGroup::wait), every park is a "pool.idle" span, and tasks bump
+// ad.pool.tasks / ad.pool.steals. Workers name their trace track
+// "pool.w<n>". While spans are live, submit() stamps each task so its queue
+// latency (submit -> start) feeds the ad.pool.queue_wait_us histogram. The
+// profiler (obs/profiler.hpp) derives its thread rows from these spans.
 #pragma once
 
 #include <atomic>
@@ -36,16 +36,13 @@
 
 namespace ad::obs {
 class Counter;
+class Histogram;
 }  // namespace ad::obs
 
 namespace ad::support {
 
 class ThreadPool {
  public:
-  /// Trace tids of pool workers start here ("pool.w0" = 100, ...), leaving
-  /// the low tids for the main thread (0).
-  static constexpr std::int64_t kTraceTidBase = 100;
-
   /// Spawns workers. The count is clamped to [1, hardwareConcurrency()]:
   /// analysis tasks are CPU-bound, so workers beyond the core count only add
   /// cache thrash and lock convoying without adding parallelism. Callers may
@@ -70,7 +67,8 @@ class ThreadPool {
   bool runOneTask();
 
   /// Parks the calling thread on the pool's idle signal until there is a
-  /// task to help with, `done()` holds, or the pool stops. Used by
+  /// task to help with, `done()` holds, or the pool stops; the park is a
+  /// "pool.idle" span and feeds ad.pool.idle_us. Used by idle workers and by
   /// TaskGroup::wait between help attempts; group completion must call
   /// notifyWaiters() so `done()` gets re-evaluated.
   void waitForWork(const std::function<bool()>& done);
@@ -79,12 +77,9 @@ class ThreadPool {
   void notifyWaiters();
 
  private:
-  /// How a task reached its executor (recorded in the profiler's tracks).
-  enum class TaskSource : std::uint8_t { kOwn, kInjected, kStolen };
-
   struct Item {
     std::function<void()> task;
-    std::int64_t enqueueUs = 0;  ///< profiler clock at submit; 0 when disabled
+    std::int64_t enqueueUs = 0;  ///< tracer clock at submit; 0 while spans are off
   };
   struct Queue {
     std::mutex mu;
@@ -92,7 +87,7 @@ class ThreadPool {
   };
   struct Taken {
     Item item;
-    TaskSource source = TaskSource::kOwn;
+    bool stolen = false;  ///< taken from another worker's deque
     [[nodiscard]] explicit operator bool() const noexcept { return item.task != nullptr; }
   };
 
@@ -117,6 +112,7 @@ class ThreadPool {
   obs::Counter* tasksCounter_ = nullptr;
   obs::Counter* stealsCounter_ = nullptr;
   obs::Counter* idleCounter_ = nullptr;
+  obs::Histogram* queueWait_ = nullptr;
 };
 
 /// Completion tracking for a batch of tasks on one pool.

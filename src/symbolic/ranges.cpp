@@ -587,8 +587,6 @@ bool RangeAnalyzer::provePositive(const InternedExpr& e) const {
   return result;
 }
 
-bool RangeAnalyzer::proveNegative(const Expr& e) const { return provePositive(-e); }
-
 std::optional<int> RangeAnalyzer::signImpl(const Expr& e, int depth) const {
   if (auto c = e.asConstant()) return c->sign();
   if (depth <= 0) return std::nullopt;

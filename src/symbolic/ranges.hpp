@@ -110,16 +110,12 @@ class RangeAnalyzer {
   [[nodiscard]] bool proveNonNegative(const Expr& e) const;
   [[nodiscard]] bool proveNonPositive(const Expr& e) const;
   [[nodiscard]] bool provePositive(const Expr& e) const;
-  [[nodiscard]] bool proveNegative(const Expr& e) const;
 
   /// a <= b provable?
   [[nodiscard]] bool proveLE(const Expr& a, const Expr& b) const {
     return proveNonNegative(b - a);
   }
   [[nodiscard]] bool proveLT(const Expr& a, const Expr& b) const { return provePositive(b - a); }
-  /// Provably equal on the whole domain (normal forms identical, which is the
-  /// only equality the algebra certifies).
-  [[nodiscard]] bool proveEQ(const Expr& a, const Expr& b) const { return a == b; }
 
   /// True if `e` provably takes integer values at every integer point of the
   /// domain: integer-coefficient monomials, and fractional powers of two are

@@ -1,11 +1,12 @@
 // Tests for the observability layer (src/obs/): sharded counters, gauges,
 // histograms, the metrics registry's stable JSON schema, and the tracer's
-// span nesting / Chrome-trace export. The concurrency tests are the ones the
+// span nesting, self time, per-thread tids and Chrome-trace export. The concurrency tests are the ones the
 // CI TSan stage runs — they hammer the same counter/histogram/tracer from
 // many threads and assert exact totals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -28,6 +29,7 @@ class ObsTest : public ::testing::Test {
   }
   void TearDown() override {
     tracer().disable();
+    tracer().disableFolding();
     tracer().clear();
   }
 };
@@ -195,17 +197,17 @@ TEST_F(ObsTest, SpanNestingAndOrdering) {
 
 TEST_F(ObsTest, TraceJsonExport) {
   tracer().enable();
-  tracer().nameThread(7, "test.worker");
-  {
+  std::thread([] {
+    tracer().nameCurrentThread("test.worker");
     Span s("test.exported", "unit");
-  }
+  }).join();
   const std::string json = tracer().toJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"test.exported\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"unit\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  // thread_name metadata event for the named simulated thread.
+  // thread_name metadata event for the named worker's track.
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("test.worker"), std::string::npos);
 }
@@ -214,11 +216,12 @@ TEST_F(ObsTest, ConcurrentSpansFromManyThreads) {
   tracer().enable();
   constexpr int kThreads = 8;
   constexpr int kSpansPerThread = 200;
+  std::vector<std::int64_t> tids(kThreads, -1);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t] {
-      Tracer::setCurrentThreadId(t + 1);
+    workers.emplace_back([t, &tids] {
+      tids[t] = Tracer::currentThreadId();
       for (int i = 0; i < kSpansPerThread; ++i) {
         Span s("test.mt");
       }
@@ -229,13 +232,60 @@ TEST_F(ObsTest, ConcurrentSpansFromManyThreads) {
   auto it = stats.find("test.mt");
   ASSERT_NE(it, stats.end());
   EXPECT_EQ(it->second.count, kThreads * kSpansPerThread);
-  // Every event carries the tid its thread registered.
+  // Every event carries the tid of the thread that closed it: each thread's
+  // tid owns exactly its own spans.
   const auto events = tracer().snapshot();
   EXPECT_EQ(events.size(), static_cast<std::size_t>(kThreads * kSpansPerThread));
-  for (const auto& e : events) {
-    EXPECT_GE(e.tid, 1);
-    EXPECT_LE(e.tid, kThreads);
+  for (const std::int64_t tid : tids) {
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [tid](const TraceEvent& e) { return e.tid == tid; }),
+              kSpansPerThread)
+        << "tid " << tid;
   }
+}
+
+TEST_F(ObsTest, PlainThreadsGetDistinctTids) {
+  constexpr int kThreads = 8;
+  std::vector<std::int64_t> tids(kThreads, -1);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t, &tids] { tids[t] = Tracer::currentThreadId(); });
+  }
+  for (auto& w : workers) w.join();
+  tids.push_back(Tracer::currentThreadId());  // the test's own (main) thread
+  std::sort(tids.begin(), tids.end());
+  EXPECT_EQ(std::adjacent_find(tids.begin(), tids.end()), tids.end())
+      << "two OS threads share a trace tid";
+}
+
+TEST_F(ObsTest, SelfTimeExcludesNestedSpans) {
+  tracer().enable();
+  {
+    Span outer("test.outer");
+    for (int i = 0; i < 2; ++i) {
+      Span inner("test.inner");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  const auto stats = tracer().statsByName();
+  const SpanStats& outer = stats.at("test.outer");
+  const SpanStats& inner = stats.at("test.inner");
+  EXPECT_EQ(inner.count, 2);
+  EXPECT_EQ(inner.selfUs, inner.totalUs);  // leaves own all their time
+  EXPECT_GE(inner.totalUs, 4000);
+  EXPECT_EQ(outer.selfUs, outer.totalUs - inner.totalUs);
+  EXPECT_GE(outer.selfUs, 0);
+}
+
+TEST_F(ObsTest, FoldingWithoutExportKeepsNoEvents) {
+  tracer().enableFolding();
+  {
+    Span s("test.folded");
+  }
+  tracer().disableFolding();
+  EXPECT_TRUE(tracer().snapshot().empty());
+  EXPECT_EQ(tracer().statsByName().at("test.folded").count, 1);
 }
 
 TEST_F(ObsTest, StatsByNameAggregates) {

@@ -1,16 +1,19 @@
 // Tests for the task-level contention profiler (src/obs/profiler.hpp): the
 // disabled path must record nothing, enable() must establish the "main" row,
 // ShardLock must attribute contended acquisitions to the right (family,
-// shard) cell, pool tasks must land in per-thread rows, the ad.profile.v1
-// summary must keep its schema, and spans must stay balanced when fault
-// injection unwinds the pipeline mid-flight.
+// shard) cell, pool tasks must land in per-thread rows derived from span
+// self time (helped tasks counted once), the ad.profile.v2 summary must keep
+// its schema, profiling alone must keep no raw events, and spans must stay
+// balanced when fault injection unwinds the pipeline mid-flight.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -121,26 +124,113 @@ TEST_F(ProfilerTest, SummaryKeepsSchema) {
   profiler().enable();
   const std::string summary = profiler().summary();
   for (const char* needle :
-       {"\"schema\": \"ad.profile.v1\"", "\"threads\":", "\"shards\":", "\"lock_wait_us\":",
-        "\"intern.expr\"", "\"memo.context\"", "\"memo.registry\"", "\"loc.phase_array\"",
-        "\"queue_wait_us\"", "\"idle_us\"", "\"steals\"", "\"helped\""}) {
+       {"\"schema\": \"ad.profile.v2\"", "\"threads\":", "\"tid\"", "\"queue_wait_us\":",
+        "\"shards\":", "\"lock_wait_us\":", "\"intern.expr\"", "\"memo.context\"",
+        "\"memo.registry\"", "\"loc.phase_array\"", "\"work_us\"", "\"idle_us\"",
+        "\"steals\"", "\"helped\""}) {
     EXPECT_NE(summary.find(needle), std::string::npos) << "summary lacks " << needle;
   }
 }
 
 TEST_F(ProfilerTest, ResetZeroesRowsAndShards) {
   profiler().enable();
-  profiler().threadStats("").tasks.fetch_add(7, std::memory_order_relaxed);
+  {
+    Span s("test.work");
+  }
+  ASSERT_EQ(tracer().statsByName().count("test.work"), 1u);
   profiler().shard(ShardFamily::kExprIntern, 1).acquisitions.fetch_add(3,
                                                                        std::memory_order_relaxed);
   profiler().shard(ShardFamily::kExprIntern, 1).probeSteps.fetch_add(9,
                                                                      std::memory_order_relaxed);
   profiler().lockWaitHistogram(ShardFamily::kExprIntern).observe(10);
   profiler().reset();
-  EXPECT_EQ(profiler().threadStats("").tasks.load(), 0);
+  EXPECT_TRUE(tracer().statsByName().empty());
   EXPECT_EQ(profiler().shard(ShardFamily::kExprIntern, 1).acquisitions.load(), 0);
   EXPECT_EQ(profiler().shard(ShardFamily::kExprIntern, 1).probeSteps.load(), 0);
   EXPECT_EQ(profiler().lockWaitHistogram(ShardFamily::kExprIntern).count(), 0);
+  // The calling thread keeps its (now empty) row.
+  EXPECT_NE(profiler().summary().find("\"name\": \"main\""), std::string::npos);
+}
+
+// Profiling alone folds spans into aggregates and keeps no raw event list,
+// so a long-lived profiled service stays bounded in memory.
+TEST_F(ProfilerTest, ProfileOnlyKeepsNoEvents) {
+  profiler().enable();
+  for (int i = 0; i < 100; ++i) {
+    Span s("test.profiled");
+  }
+  EXPECT_TRUE(tracer().snapshot().empty());
+  EXPECT_EQ(tracer().statsByName().at("test.profiled").count, 100);
+}
+
+// A waiter that helps inside TaskGroup::wait runs other tasks inside its own
+// open span. Their time is the span's child time, not its self time, and the
+// helping thread's row (work + lock-wait + idle) stays within wall time even
+// when the helped tasks themselves wait on nested groups and help again.
+TEST_F(ProfilerTest, HelpedTasksLeaveWaiterSelfTime) {
+  profiler().enable();
+  const std::int64_t t0 = tracer().nowUs();
+  {
+    support::ThreadPool pool(2);
+    Span outer("test.outer");
+    support::TaskGroup group(pool);
+    for (int i = 0; i < 4; ++i) {
+      group.run([&pool] {
+        support::TaskGroup inner(pool);
+        for (int k = 0; k < 3; ++k) {
+          inner.run([] { std::this_thread::sleep_for(std::chrono::milliseconds(3)); });
+        }
+        inner.wait();
+      });
+    }
+    group.wait();
+  }
+  const std::int64_t wallUs = tracer().nowUs() - t0;
+  profiler().disable();
+
+  const auto threads = tracer().statsByThread();
+  const auto mainIt = std::find_if(threads.begin(), threads.end(),
+                                   [](const ThreadSpans& t) { return t.tid == 0; });
+  ASSERT_NE(mainIt, threads.end());
+  const ThreadSpans& main = *mainIt;
+  const SpanStats outer = main.spans.at("test.outer").at("pipeline");
+  std::int64_t nestedSelf = 0;
+  std::int64_t helped = 0;
+  for (const auto& [name, byCat] : main.spans) {
+    for (const auto& [cat, st] : byCat) {
+      EXPECT_GE(st.selfUs, 0) << name;
+      EXPECT_LE(st.selfUs, st.totalUs) << name;
+      if (name != "test.outer") nestedSelf += st.selfUs;
+      if (name == "pool.task") helped += st.count;
+    }
+  }
+  ASSERT_GT(helped, 0) << "the waiting thread never helped";
+  // Everything main did inside the outer span is nested in it, so the outer
+  // span's self time is exactly its duration minus that nested time. The
+  // 12 sleeping tasks over at most three threads keep main busy helping or
+  // parked for well over one 3 ms sleep, none of it the outer span's own.
+  EXPECT_EQ(outer.selfUs, outer.totalUs - nestedSelf);
+  EXPECT_GE(nestedSelf, 3000);
+
+  for (const ThreadSpans& t : threads) {
+    std::int64_t self = 0;
+    for (const auto& [name, byCat] : t.spans) {
+      for (const auto& [cat, st] : byCat) self += st.selfUs;
+    }
+    EXPECT_LE(self, wallUs) << t.name << " (tid " << t.tid << ")";
+  }
+  // The row the profile prints for main is main's self time, within wall.
+  const std::string summary = profiler().summary();
+  const std::size_t row = summary.find("\"tid\": 0,");
+  ASSERT_NE(row, std::string::npos) << summary;
+  const auto field = [&](const char* key) {
+    const std::size_t pos = summary.find(key, row);
+    return std::strtoll(summary.c_str() + pos + std::string_view(key).size(), nullptr, 10);
+  };
+  const std::int64_t rowUs =
+      field("\"work_us\": ") + field("\"lock_wait_us\": ") + field("\"idle_us\": ");
+  EXPECT_EQ(rowUs, outer.selfUs + nestedSelf) << summary;
+  EXPECT_LE(rowUs, wallUs) << summary;
 }
 
 // Probe-length accounting: interning under an enabled profiler accumulates

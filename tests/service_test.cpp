@@ -737,8 +737,12 @@ TEST_F(ServiceSocket, ClientAbsorbsShedsWithBackoffAndSucceeds) {
 
   auto blocker = tiny.submit(slowRequest("blocker"));  // fills the only slot
 
+  // The retry window must outlast the blocker at any build speed: a
+  // sanitizer build runs it many times slower than the plain one. Past the
+  // cap every backoff sleeps >= 32 ms, so 1000 retries cover >= 30 s; the
+  // client stops at its first success, so a fast build never waits that long.
   service::ClientOptions clientOptions;
-  clientOptions.maxRetries = 40;
+  clientOptions.maxRetries = 1000;
   clientOptions.backoffBaseMs = 8;
   clientOptions.backoffCapMs = 64;
   clientOptions.jitterSeed = 7;

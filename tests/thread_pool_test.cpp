@@ -1,12 +1,16 @@
 // Work-stealing pool semantics: every submitted task runs exactly once,
 // nested groups drain without deadlock (wait() helps), exceptions surface at
-// the join, and a 1-thread pool still makes progress. Runs under TSan in CI.
+// the join, a 1-thread pool still makes progress, and workers of concurrent
+// pools get distinct trace tids. Runs under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "support/thread_pool.hpp"
@@ -119,6 +123,42 @@ TEST(ThreadPool, RunOneTaskReportsEmptiness) {
   EXPECT_GE(pool.threadCount(), 1u);
   EXPECT_LE(pool.threadCount(), 2u);
   EXPECT_GE(support::ThreadPool::hardwareConcurrency(), 1u);
+}
+
+// Trace tids are per OS thread, not per worker index: the workers of two
+// pools alive at once never share a tid, so their spans never interleave on
+// one trace track.
+TEST(ThreadPool, ConcurrentPoolsGetDistinctWorkerTids) {
+  support::ThreadPool a(2);
+  support::ThreadPool b(2);
+  std::mutex mu;
+  std::vector<std::int64_t> tids;
+  std::atomic<int> done{0};
+  const auto occupyEveryWorker = [&](support::ThreadPool& pool, std::atomic<int>& arrived) {
+    const int width = static_cast<int>(pool.threadCount());
+    for (int i = 0; i < width; ++i) {
+      pool.submit([&, width] {
+        // Rendezvous: each task holds its worker until all `width` tasks of
+        // this pool are running, so every worker records its tid once.
+        arrived.fetch_add(1);
+        while (arrived.load() < width) std::this_thread::yield();
+        std::lock_guard<std::mutex> lock(mu);
+        tids.push_back(obs::Tracer::currentThreadId());
+        done.fetch_add(1);
+      });
+    }
+  };
+  std::atomic<int> arrivedA{0};
+  std::atomic<int> arrivedB{0};
+  occupyEveryWorker(a, arrivedA);
+  occupyEveryWorker(b, arrivedB);
+  const int total = static_cast<int>(a.threadCount() + b.threadCount());
+  while (done.load() < total) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(tids.size(), static_cast<std::size_t>(total));
+  std::sort(tids.begin(), tids.end());
+  EXPECT_EQ(std::adjacent_find(tids.begin(), tids.end()), tids.end())
+      << "two pool workers share a trace tid";
 }
 
 }  // namespace
