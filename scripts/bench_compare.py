@@ -5,8 +5,9 @@ Usage:
     scripts/bench_compare.py <baseline_dir> <fresh_dir> [--tolerance-pct N]
 
 Compares the bench JSON artifacts the perf CI stage produces
-(BENCH_analysis.json, BENCH_contention.json, BENCH_intern.json,
-BENCH_kernels.json, BENCH_service.json, BENCH_symval.json) against the
+(BENCH_analysis.json, BENCH_comm.json, BENCH_contention.json,
+BENCH_intern.json, BENCH_kernels.json, BENCH_service.json,
+BENCH_symval.json) against the
 baselines under bench/baselines/. Exits nonzero, listing every violated
 metric, when the fresh run regressed.
 
@@ -102,6 +103,31 @@ def compare_contention(gate, baseline, fresh, tolerance_pct):
     ceiling = max(baseline["overhead_pct"] + 2.0, 5.0)
     gate.abs_ceiling("contention.overhead_pct", fresh["overhead_pct"], ceiling,
                      f"baseline {baseline['overhead_pct']:.3f}% + 2pt jitter, min 5%")
+
+
+# A schedule walked over the whole array costs ~16x at 16x the size; one walked
+# over one owner period costs the same. The ceiling sits well between the two.
+COMM_SCALING_CEILING = 3.0
+
+
+def compare_comm(gate, baseline, fresh, tolerance_pct):
+    del tolerance_pct  # counts are structural; the one ratio has a fixed ceiling
+    gate.exact("comm.schema", baseline["schema"], fresh["schema"])
+    base_moves = {(m["name"], m["params"]): m for m in baseline["moves"]}
+    fresh_moves = {(m["name"], m["params"]): m for m in fresh["moves"]}
+    gate.exact("comm.moves", sorted(base_moves), sorted(fresh_moves))
+    for key in sorted(set(base_moves) & set(fresh_moves)):
+        b, f = base_moves[key], fresh_moves[key]
+        prefix = f"comm.{key[0]}[{key[1]}]"
+        for field in ("processors", "from", "to", "size", "period", "repeats",
+                      "runs_walked", "words", "messages", "ranges"):
+            gate.exact(f"{prefix}.{field}", b[field], f[field])
+    b, f = baseline["scaling"], fresh["scaling"]
+    for field in ("move", "processors", "size", "scale", "runs_walked", "words"):
+        gate.exact(f"comm.scaling.{field}", b[field], f[field])
+    gate.abs_ceiling("comm.scaling.ratio", f["ratio"], COMM_SCALING_CEILING,
+                     f"t({f['scale']} n) / t(n); baseline {b['ratio']:.3f}, a whole-array "
+                     f"walk reads ~{f['scale']}")
 
 
 def compare_symval(gate, baseline, fresh, tolerance_pct):
@@ -221,6 +247,7 @@ def compare_service(gate, baseline, fresh, tolerance_pct):
 
 COMPARATORS = {
     "BENCH_analysis.json": compare_analysis,
+    "BENCH_comm.json": compare_comm,
     "BENCH_contention.json": compare_contention,
     "BENCH_intern.json": compare_intern,
     "BENCH_kernels.json": compare_kernels,

@@ -60,14 +60,17 @@ asan() {
   # taken paths (unwinding through ErrorContext frames, exception capture at
   # pool boundaries, budget-truncated searches); AddressSanitizer +
   # UndefinedBehaviorSanitizer keep those paths honest. The parser fuzz runs
-  # here too — mutated input is where lifetime bugs hide.
+  # here too — mutated input is where lifetime bugs hide — and so does
+  # dsm_test, whose schedule fuzz drives the owner-period / repeat / tail
+  # int64 arithmetic of the communication schedules.
   echo "=== asan: robustness tests under ASan+UBSan ==="
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   local tests=(status_test fault_test cli_test parser_fuzz_test \
-               degradation_test thread_pool_test frontend_test service_test)
+               degradation_test thread_pool_test frontend_test service_test \
+               dsm_test)
   cmake --build build-asan -j "$jobs" --target "${tests[@]}"
   for t in "${tests[@]}"; do
     ./build-asan/tests/"$t"
@@ -366,12 +369,13 @@ perf() {
   cmake -B build -S .
   cmake --build build -j "$jobs" --target \
     analysis_scaling contention_profile symbolic_validation kernel_family \
-    intern_microbench
+    intern_microbench comm_scaling
   ./build/bench/analysis_scaling
   ./build/bench/contention_profile
   ./build/bench/symbolic_validation
   ./build/bench/kernel_family
   ./build/bench/intern_microbench
+  ./build/bench/comm_scaling
 
   # Structural schema check of the interning artifact: the ad.bench.intern.v1
   # shape, plus the invariants the arena guarantees regardless of machine
@@ -423,8 +427,8 @@ print(f"contention schema ok: {len(profile['threads'])} thread rows, "
 EOF
 
   # The service artifact is regenerated (and gated) by the `service` stage,
-  # not here — scope the comparison to the five artifacts this stage reran.
-  local perf_artifacts="BENCH_analysis.json,BENCH_contention.json,BENCH_intern.json,BENCH_kernels.json,BENCH_symval.json"
+  # not here — scope the comparison to the six artifacts this stage reran.
+  local perf_artifacts="BENCH_analysis.json,BENCH_comm.json,BENCH_contention.json,BENCH_intern.json,BENCH_kernels.json,BENCH_symval.json"
   python3 scripts/bench_compare.py bench/baselines . --only "$perf_artifacts"
 
   # Self-test: inject a synthetic regression (halved jobs=8 speedup, tripled
@@ -433,7 +437,7 @@ EOF
   # decorative.
   local doctored
   doctored="$(mktemp -d)"
-  cp BENCH_analysis.json BENCH_contention.json BENCH_intern.json \
+  cp BENCH_analysis.json BENCH_comm.json BENCH_contention.json BENCH_intern.json \
      BENCH_kernels.json BENCH_symval.json "$doctored"/
   python3 - "$doctored" <<'EOF'
 import json, sys
@@ -462,7 +466,7 @@ EOF
   # Second leg: doctor ONLY the interning artifact, so a pass here proves the
   # intern comparator itself trips (not just the analysis/contention gates).
   doctored="$(mktemp -d)"
-  cp BENCH_analysis.json BENCH_contention.json BENCH_intern.json \
+  cp BENCH_analysis.json BENCH_comm.json BENCH_contention.json BENCH_intern.json \
      BENCH_kernels.json BENCH_symval.json "$doctored"/
   python3 - "$doctored" <<'EOF'
 import json, sys
@@ -484,7 +488,7 @@ EOF
   # verdict and a drifted C-edge count), so a pass here proves compare_kernels
   # itself trips on the exact-match structural metrics.
   doctored="$(mktemp -d)"
-  cp BENCH_analysis.json BENCH_contention.json BENCH_intern.json \
+  cp BENCH_analysis.json BENCH_comm.json BENCH_contention.json BENCH_intern.json \
      BENCH_kernels.json BENCH_symval.json "$doctored"/
   python3 - "$doctored" <<'EOF'
 import json, sys
@@ -503,6 +507,29 @@ EOF
   fi
   rm -rf "$doctored"
   echo "ok (self-test): doctored kernel-family artifact rejected"
+
+  # Fourth leg: doctor ONLY the communication artifact as a whole-array walk
+  # would leave it (12x the runs walked, a 16x size ratio), so a pass here
+  # proves compare_comm itself trips.
+  doctored="$(mktemp -d)"
+  cp BENCH_analysis.json BENCH_comm.json BENCH_contention.json BENCH_intern.json \
+     BENCH_kernels.json BENCH_symval.json "$doctored"/
+  python3 - "$doctored" <<'EOF'
+import json, sys
+
+root = sys.argv[1]
+doc = json.load(open(f"{root}/BENCH_comm.json"))
+doc["moves"][0]["runs_walked"] *= 12
+doc["scaling"]["ratio"] = 16.0
+json.dump(doc, open(f"{root}/BENCH_comm.json", "w"))
+EOF
+  if python3 scripts/bench_compare.py bench/baselines "$doctored" --only "$perf_artifacts" >/dev/null 2>&1; then
+    echo "FAIL: bench_compare accepted a whole-array communication walk" >&2
+    rm -rf "$doctored"
+    exit 1
+  fi
+  rm -rf "$doctored"
+  echo "ok (self-test): doctored communication artifact rejected"
 }
 
 service() {

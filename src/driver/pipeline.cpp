@@ -223,6 +223,7 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
   obs::metrics().counter("ad.symval.frontier_words");
   obs::metrics().counter("ad.dsm.phases_closed_form");
   obs::metrics().counter("ad.dsm.phases_replayed");
+  obs::metrics().counter("ad.comm.runs_walked");
 
   // The run's budget (when one is configured) and degradation ledger. The
   // scopes are thread-local here; ThreadPool::submit forwards them to every

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "support/budget.hpp"
@@ -22,12 +21,6 @@ using sym::PeriodicIntervalSet;
 /// adversarial nests fall back to the replay instead of exploding.
 constexpr std::int64_t kEnumLoopCap = 1 << 14;
 constexpr std::size_t kApListCap = 1 << 13;
-
-/// Period after which an owner-bearing distribution's owner pattern repeats.
-std::int64_t ownerPeriod(const DataDistribution& d, std::int64_t processors) {
-  return d.kind == DataDistribution::Kind::kFoldedBlockCyclic ? d.fold
-                                                               : checkedMul(d.block, processors);
-}
 
 // ---------------------------------------------------------------------------
 // Region collapse: loop-nest tail -> arithmetic progressions
@@ -430,32 +423,41 @@ std::int64_t ownerRunEnd(const DataDistribution& d, std::int64_t a) {
   return base + std::min(d.fold, d.fold - c * d.block + 1);
 }
 
+std::int64_t ownerPeriod(const DataDistribution& d, std::int64_t processors) {
+  return d.kind == DataDistribution::Kind::kFoldedBlockCyclic ? d.fold
+                                                               : checkedMul(d.block, processors);
+}
+
+OwnerPeriod jointOwnerPeriod(const DataDistribution& from, const DataDistribution& to,
+                             std::int64_t size, std::int64_t processors) {
+  OwnerPeriod p;
+  if (size <= 0) return p;
+  const std::int64_t p1 = ownerPeriod(from, processors);
+  const std::int64_t p2 = ownerPeriod(to, processors);
+  p.lambda = size;
+  if (const auto l = tryMul(p1 / gcd64(p1, p2), p2); l && *l > 0) {
+    p.lambda = std::min(size, *l);
+  }
+  p.repeats = size / p.lambda;
+  return p;
+}
+
 void countRedistribution(const DataDistribution& from, const DataDistribution& to,
                          std::int64_t size, std::int64_t processors, std::int64_t& words,
                          std::int64_t& messages) {
-  std::set<std::pair<std::int64_t, std::int64_t>> pairs;
-  const auto movedIn = [&](std::int64_t end) {
-    std::int64_t moved = 0;
-    forEachOwnerRun(from, to, processors, 0, end,
-                    [&](std::int64_t b, std::int64_t e, std::int64_t src, std::int64_t dst) {
-                      if (src == dst) return;
-                      moved += e - b;
-                      pairs.insert({src, dst});
-                    });
-    return moved;
-  };
-  const std::int64_t p1 = ownerPeriod(from, processors);
-  const std::int64_t p2 = ownerPeriod(to, processors);
-  std::int64_t lambda = size;
-  if (const auto l = tryMul(p1 / gcd64(p1, p2), p2); l && *l > 0) {
-    lambda = std::min(size, *l);
-  }
-  if (lambda >= size) {
-    words = movedIn(size);
-  } else {
-    words = checkedAdd(checkedMul(movedIn(lambda), size / lambda), movedIn(size % lambda));
-  }
-  messages = static_cast<std::int64_t>(pairs.size());
+  std::vector<std::int64_t> pairs;  // src * H + dst per moving run
+  std::int64_t periodWords = 0;
+  std::int64_t tailWords = 0;
+  const OwnerPeriod p = walkOwnerPeriod(
+      from, to, size, processors,
+      [&](std::int64_t b, std::int64_t e, std::int64_t src, std::int64_t dst, bool inTail) {
+        if (src == dst) return;
+        (inTail ? tailWords : periodWords) += e - b;
+        pairs.push_back(src * processors + dst);
+      });
+  words = checkedAdd(checkedMul(periodWords, p.repeats), tailWords);
+  std::sort(pairs.begin(), pairs.end());
+  messages = std::unique(pairs.begin(), pairs.end()) - pairs.begin();
 }
 
 }  // namespace ad::dsm

@@ -95,6 +95,9 @@ class LocalitySets {
 /// End (exclusive) of the maximal constant-owner run containing address `a`.
 [[nodiscard]] std::int64_t ownerRunEnd(const DataDistribution& d, std::int64_t a);
 
+/// Period after which an owner-bearing distribution's owner pattern repeats.
+[[nodiscard]] std::int64_t ownerPeriod(const DataDistribution& d, std::int64_t processors);
+
 /// Calls fn(begin, end, src, dst) for consecutive runs covering [begin, end)
 /// over which both owners stay constant: each run ends where either
 /// distribution's owner run ends, so O(runs) work instead of O(elements).
@@ -109,9 +112,44 @@ void forEachOwnerRun(const DataDistribution& from, const DataDistribution& to,
   }
 }
 
+/// The joint owner period of a redistribution of [0, size): both owner maps
+/// repeat every `lambda` elements, so the array is `repeats` copies of
+/// [0, lambda) followed by the tail [tailBegin(), size). lambda is
+/// min(size, lcm of the two owner periods), or size when the lcm overflows.
+struct OwnerPeriod {
+  std::int64_t lambda = 0;
+  std::int64_t repeats = 0;
+  std::int64_t runsWalked = 0;  ///< owner runs the walk visited
+
+  [[nodiscard]] std::int64_t tailBegin() const noexcept { return lambda * repeats; }
+};
+
+[[nodiscard]] OwnerPeriod jointOwnerPeriod(const DataDistribution& from,
+                                           const DataDistribution& to, std::int64_t size,
+                                           std::int64_t processors);
+
+/// The one owner-run pass of a redistribution: calls
+/// fn(begin, end, src, dst, inTail) for the runs of one joint period
+/// [0, lambda), then for those of the tail [R * lambda, size). The runs of the
+/// other R - 1 period copies are the first copy's, shifted, so the work
+/// depends on lambda, not on size.
+template <class Fn>
+OwnerPeriod walkOwnerPeriod(const DataDistribution& from, const DataDistribution& to,
+                            std::int64_t size, std::int64_t processors, Fn&& fn) {
+  OwnerPeriod p = jointOwnerPeriod(from, to, size, processors);
+  const auto visit = [&](bool inTail) {
+    return [&, inTail](std::int64_t b, std::int64_t e, std::int64_t src, std::int64_t dst) {
+      ++p.runsWalked;
+      fn(b, e, src, dst, inTail);
+    };
+  };
+  forEachOwnerRun(from, to, processors, 0, p.lambda, visit(false));
+  forEachOwnerRun(from, to, processors, p.tailBegin(), size, visit(true));
+  return p;
+}
+
 /// Words and aggregated messages (distinct (src, dst) pairs) of moving
-/// `size` elements from `from` to `to`: one walk over the joint ownership
-/// period, scaled, plus the remainder.
+/// `size` elements from `from` to `to`, read from walkOwnerPeriod.
 void countRedistribution(const DataDistribution& from, const DataDistribution& to,
                          std::int64_t size, std::int64_t processors, std::int64_t& words,
                          std::int64_t& messages);

@@ -11,9 +11,10 @@
 //  - Per-thread rows, derived from the tracer's span aggregates, one per OS
 //    thread (trace tid and track name): idle_us is the self time of
 //    `pool.idle` spans, lock_wait_us that of `lock.wait` spans (ShardLock's
-//    contended path), work_us the rest, and tasks/steals/helped count its
-//    `pool.task` spans. Self time excludes nested spans, so a helped task
-//    counts once and work + lock-wait + idle stays within wall time.
+//    contended path, ProofMemoContext::claimOrWait's park), work_us the
+//    rest, and tasks/steals/helped count its `pool.task` spans. Self time
+//    excludes nested spans, so a helped task counts once and work +
+//    lock-wait + idle stays within wall time.
 //
 //  - Per-shard lock accounting (ShardStats): the interned-expression arena
 //    and the proof memo time every contended mutex acquisition per shard,

@@ -477,6 +477,8 @@ bool ProofMemoContext::claimOrWait(Op op, const InternedExpr& e) {
     inflight_.push_back(key);
     return true;
   }
+  // The park is lock wait, not work: the profiler's rows read it from this span.
+  obs::Span span("lock.wait", "lock");
   inflightCv_.wait(lk, absent);
   return false;
 }

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "codes/tfft2.hpp"
 #include "comm/schedule.hpp"
 #include "driver/pipeline.hpp"
+#include "dsm/closed_form.hpp"
 #include "dsm/machine.hpp"
 #include "locality/symbolic_validate.hpp"
 #include "obs/obs.hpp"
@@ -323,24 +326,33 @@ TEST(CommSchedule, MessagesAreAggregatedPerPair) {
   EXPECT_LE(sched.messageCount(), static_cast<std::size_t>(H * (H - 1)));
   // Aggregation coalesces contiguous runs.
   for (const auto& m : sched.messages()) {
-    for (std::size_t i = 1; i < m.ranges.size(); ++i) {
-      EXPECT_GT(m.ranges[i].begin, m.ranges[i - 1].end);  // strictly separated
-    }
+    std::int64_t lastEnd = -1;
+    sched.forEachRange(m, [&](const comm::Range& r) {
+      EXPECT_GT(r.begin, lastEnd);  // strictly separated
+      lastEnd = r.end;
+    });
   }
   EXPECT_GT(sched.time(MachineParams{}), 0.0);
   EXPECT_NE(sched.str().find("put"), std::string::npos);
 }
 
+/// One message of the per-element reference: its maximal ranges, listed.
+struct ExpectedMessage {
+  std::int64_t src = 0;
+  std::int64_t dst = 0;
+  std::vector<comm::Range> ranges;
+};
+
 /// The per-element reference the schedules are checked against: every moved
 /// element as its own (src, dst, addr) tuple, aggregated into maximal ranges
 /// per pair.
-std::vector<comm::Message> bruteForceMessages(
+std::vector<ExpectedMessage> bruteForceMessages(
     const std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>& moves) {
   std::map<std::pair<std::int64_t, std::int64_t>, std::set<std::int64_t>> byPair;
   for (const auto& [src, dst, addr] : moves) byPair[{src, dst}].insert(addr);
-  std::vector<comm::Message> out;
+  std::vector<ExpectedMessage> out;
   for (const auto& [pair, addrs] : byPair) {
-    comm::Message m{pair.first, pair.second, {}};
+    ExpectedMessage m{pair.first, pair.second, {}};
     for (const std::int64_t a : addrs) {
       if (!m.ranges.empty() && m.ranges.back().end == a) {
         ++m.ranges.back().end;
@@ -353,18 +365,26 @@ std::vector<comm::Message> bruteForceMessages(
   return out;
 }
 
-void expectSameMessages(const comm::CommSchedule& sched, const std::vector<comm::Message>& want,
+/// Compares the schedule's expansion (forEachRange) with the reference, and
+/// its closed-form words and range counts with the expansion's.
+void expectSameMessages(const comm::CommSchedule& sched, const std::vector<ExpectedMessage>& want,
                         const std::string& label) {
   ASSERT_EQ(sched.messages().size(), want.size()) << label;
   for (std::size_t i = 0; i < want.size(); ++i) {
     const comm::Message& got = sched.messages()[i];
     EXPECT_EQ(got.src, want[i].src) << label;
     EXPECT_EQ(got.dst, want[i].dst) << label;
-    ASSERT_EQ(got.ranges.size(), want[i].ranges.size()) << label << " message " << i;
+    std::vector<comm::Range> ranges;
+    sched.forEachRange(got, [&](const comm::Range& r) { ranges.push_back(r); });
+    ASSERT_EQ(ranges.size(), want[i].ranges.size()) << label << " message " << i;
+    std::int64_t words = 0;
     for (std::size_t r = 0; r < want[i].ranges.size(); ++r) {
-      EXPECT_EQ(got.ranges[r].begin, want[i].ranges[r].begin) << label;
-      EXPECT_EQ(got.ranges[r].end, want[i].ranges[r].end) << label;
+      EXPECT_EQ(ranges[r].begin, want[i].ranges[r].begin) << label;
+      EXPECT_EQ(ranges[r].end, want[i].ranges[r].end) << label;
+      words += want[i].ranges[r].words();
     }
+    EXPECT_EQ(sched.rangeCount(got), static_cast<std::int64_t>(ranges.size())) << label;
+    EXPECT_EQ(sched.words(got), words) << label;
   }
 }
 
@@ -412,6 +432,246 @@ TEST(CommSchedule, OwnerRunSchedulesMatchPerElementAggregation) {
   }
 }
 
+/// CommSchedule::str() of the per-element reference: first four ranges of
+/// each message, then how many more there are.
+std::string referenceStr(const std::vector<ExpectedMessage>& msgs) {
+  std::int64_t words = 0;
+  for (const auto& m : msgs) {
+    for (const auto& r : m.ranges) words += r.words();
+  }
+  std::ostringstream os;
+  os << "global communication for X (" << msgs.size() << " messages, " << words << " words)\n";
+  for (const auto& m : msgs) {
+    std::int64_t w = 0;
+    for (const auto& r : m.ranges) w += r.words();
+    os << "  PE " << m.src << " -> PE " << m.dst << " (" << w << " words):";
+    const std::size_t shown = std::min<std::size_t>(4, m.ranges.size());
+    for (std::size_t i = 0; i < shown; ++i) {
+      os << " put X[" << m.ranges[i].begin << ".." << m.ranges[i].end << ")";
+    }
+    if (m.ranges.size() > shown) os << " ... (" << m.ranges.size() - shown << " more ranges)";
+    os << "\n";
+  }
+  return os.str();
+}
+
+/// Checks one global schedule against the per-element reference: ranges,
+/// closed-form counts, str(), the cost model's count and the verifier.
+void expectGlobalMatchesReference(const DataDistribution& from, const DataDistribution& to,
+                                  std::int64_t size, std::int64_t H, const std::string& label) {
+  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
+  for (std::int64_t a = 0; a < size; ++a) {
+    const std::int64_t src = from.owner(a, H);
+    const std::int64_t dst = to.owner(a, H);
+    if (src != dst) moves.emplace_back(src, dst, a);
+  }
+  const auto want = bruteForceMessages(moves);
+  std::int64_t ranges = 0;
+  for (const auto& m : want) ranges += static_cast<std::int64_t>(m.ranges.size());
+  const auto sched = comm::generateGlobal("X", size, from, to, H);
+  expectSameMessages(sched, want, label);
+  EXPECT_EQ(sched.totalWords(), static_cast<std::int64_t>(moves.size())) << label;
+  EXPECT_EQ(sched.messageCount(), want.size()) << label;
+  EXPECT_EQ(sched.rangeCount(), ranges) << label;
+  EXPECT_EQ(sched.str(), referenceStr(want)) << label;
+  std::int64_t words = -1;
+  std::int64_t messages = -1;
+  countRedistribution(from, to, size, H, words, messages);
+  EXPECT_EQ(words, static_cast<std::int64_t>(moves.size())) << label;
+  EXPECT_EQ(messages, static_cast<std::int64_t>(want.size())) << label;
+  EXPECT_TRUE(comm::verifiesRedistribution(sched, size, from, to, H)) << label;
+}
+
+std::string describe(const DataDistribution& d) {
+  if (d.kind == DataDistribution::Kind::kFoldedBlockCyclic) {
+    return "FOLDED(" + std::to_string(d.block) + "," + std::to_string(d.fold) + ")";
+  }
+  return "BLOCK-CYCLIC(" + std::to_string(d.block) + ")";
+}
+
+TEST(CommSchedule, PeriodicScheduleFuzzMatchesPerElementReference) {
+  std::uint64_t rng = 0x5EC7104Eull;  // fixed seed: failures must reproduce
+  // 0 BLOCK, 1 CYCLIC, 2 BLOCK-CYCLIC(b), 3 FOLDED(b, fold).
+  const auto make = [&](int kind, std::int64_t H) {
+    switch (kind) {
+      case 0: return DataDistribution::blocked(pick(rng, 1, 160), H);
+      case 1: return DataDistribution::blockCyclic(1);
+      case 2: return DataDistribution::blockCyclic(pick(rng, 2, H >= 64 ? 4 : 12));
+      default: return DataDistribution::foldedBlockCyclic(pick(rng, 1, 6), pick(rng, 2, 90));
+    }
+  };
+  const std::int64_t processorCounts[] = {1, 2, 3, 8, 64};
+  int cases = 0;
+  int crossingCases = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (const std::int64_t H : processorCounts) {
+      for (int fromKind = 0; fromKind < 4; ++fromKind) {
+        for (int toKind = 0; toKind < 4; ++toKind) {
+          const DataDistribution from = make(fromKind, H);
+          const DataDistribution to = make(toKind, H);
+          const std::int64_t lambda =
+              jointOwnerPeriod(from, to, std::int64_t{1} << 40, H).lambda;
+          // Below one period, one period +- 1, and a non-multiple of it.
+          const std::int64_t sizes[] = {pick(rng, 1, lambda), lambda - 1, lambda, lambda + 1,
+                                        pick(rng, 2, 3) * lambda + pick(rng, 1, lambda)};
+          for (const std::int64_t size : sizes) {
+            if (size < 1 || size > 20000) continue;
+            const std::string label = describe(from) + " -> " + describe(to) +
+                                      " H=" + std::to_string(H) +
+                                      " size=" + std::to_string(size);
+            expectGlobalMatchesReference(from, to, size, H, label);
+            ++cases;
+            // An owner run crossing a period boundary: both owners agree on
+            // both sides of it.
+            if (size > lambda && from.owner(lambda - 1, H) == from.owner(0, H) &&
+                to.owner(lambda - 1, H) == to.owner(0, H)) {
+              ++crossingCases;
+            }
+          }
+        }
+      }
+    }
+  }
+  // A folded pair whose runs always cross the boundary: owner(fold - 1) is
+  // owner(1), which shares PE 0 with address 0 for blocks of 2 or more.
+  for (const std::int64_t H : {2, 8}) {
+    const auto from = DataDistribution::foldedBlockCyclic(2, 24);
+    const auto to = DataDistribution::foldedBlockCyclic(3, 40);
+    expectGlobalMatchesReference(from, to, 3 * 120 + 7, H,
+                                 "folded crossing H=" + std::to_string(H));
+    ++cases;
+    ++crossingCases;
+  }
+  EXPECT_GE(cases, 300);
+  EXPECT_GT(crossingCases, 2);
+}
+
+TEST(CommSchedule, RangeCountMergesRunsAcrossPeriodBoundaries) {
+  // Runs ending at lambda and restarting at 0 join across copies, and the
+  // last copy's run joins a tail run starting at repeats * lambda.
+  const comm::CommSchedule sched(
+      "X", comm::Pattern::kGlobal, 8, 3,
+      {comm::Message{0, 1, {comm::Section{0, 2, 6, 2}}, {comm::Section{24, 1, 0, 1}}},
+       comm::Message{1, 0, {comm::Section{3, 1, 0, 1}}, {}}});
+  std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+  sched.forEachRange(sched.messages()[0],
+                     [&](const comm::Range& r) { ranges.emplace_back(r.begin, r.end); });
+  const std::vector<std::pair<std::int64_t, std::int64_t>> want = {
+      {0, 2}, {6, 10}, {14, 18}, {22, 25}};
+  EXPECT_EQ(ranges, want);
+  EXPECT_EQ(sched.rangeCount(sched.messages()[0]), 4);
+  EXPECT_EQ(sched.rangeCount(sched.messages()[1]), 3);
+  EXPECT_EQ(sched.rangeCount(), 7);
+  EXPECT_EQ(sched.words(sched.messages()[0]), 13);
+  EXPECT_EQ(sched.totalWords(), 16);
+  EXPECT_NE(sched.str().find("put X[0..2) put X[6..10) put X[14..18) put X[22..25)\n"),
+            std::string::npos)
+      << sched.str();
+}
+
+TEST(CommSchedule, VerifierRejectsDoctoredPeriodicSchedules) {
+  const auto from = DataDistribution::blockCyclic(3);
+  const auto to = DataDistribution::blockCyclic(4);
+  const std::int64_t H = 4;
+  const std::int64_t size = 48 * 3 + 29;  // lambda = lcm(12, 16) = 48, three copies and a tail
+  const auto good = comm::generateGlobal("X", size, from, to, H);
+  ASSERT_EQ(good.period(), 48);
+  ASSERT_EQ(good.repeats(), 3);
+  ASSERT_TRUE(comm::verifiesRedistribution(good, size, from, to, H));
+  const auto rebuilt = [&](std::vector<comm::Message> msgs, std::int64_t period,
+                           std::int64_t repeats) {
+    return comm::CommSchedule("X", comm::Pattern::kGlobal, period, repeats, std::move(msgs));
+  };
+  const auto verifies = [&](const comm::CommSchedule& s) {
+    return comm::verifiesRedistribution(s, size, from, to, H);
+  };
+  // The index of a message with both period and tail sections.
+  std::size_t k = 0;
+  while (k < good.messages().size() &&
+         (good.messages()[k].period.empty() || good.messages()[k].tail.empty())) {
+    ++k;
+  }
+  ASSERT_LT(k, good.messages().size());
+  const comm::Message& m = good.messages()[k];
+  const std::int64_t wrongDst = (m.dst + 1) % H == m.src ? (m.dst + 2) % H : (m.dst + 1) % H;
+
+  // An element on the wrong pair in the period: the period sections travel
+  // to a pair whose destination does not own them.
+  {
+    auto msgs = good.messages();
+    msgs[k].period.clear();
+    msgs.push_back(comm::Message{m.src, wrongDst, m.period, {}});
+    EXPECT_FALSE(verifies(rebuilt(msgs, 48, 3)));
+  }
+  // ... and in the tail.
+  {
+    auto msgs = good.messages();
+    msgs[k].tail.clear();
+    msgs.push_back(comm::Message{m.src, wrongDst, {}, m.tail});
+    EXPECT_FALSE(verifies(rebuilt(msgs, 48, 3)));
+  }
+  // A period section outside [0, lambda): shifted by one period, its owners
+  // still match, but the copies it stands for would cover [lambda, 2 lambda).
+  {
+    auto msgs = good.messages();
+    msgs[k].period.back().begin += 48;
+    EXPECT_FALSE(verifies(rebuilt(msgs, 48, 3)));
+  }
+  // A missing element, a duplicated one, a self-put and a wrong period.
+  {
+    auto msgs = good.messages();
+    msgs[k].tail.pop_back();
+    EXPECT_FALSE(verifies(rebuilt(msgs, 48, 3)));
+  }
+  {
+    auto msgs = good.messages();
+    msgs.push_back(comm::Message{m.src, m.dst, {m.period.front()}, {}});
+    EXPECT_FALSE(verifies(rebuilt(msgs, 48, 3)));
+  }
+  {
+    auto msgs = good.messages();
+    msgs.push_back(comm::Message{m.src, m.src, {}, {}});
+    EXPECT_FALSE(verifies(rebuilt(msgs, 48, 3)));
+  }
+  EXPECT_FALSE(verifies(rebuilt(good.messages(), 24, 7)));   // not a period of `to`
+  EXPECT_FALSE(verifies(rebuilt(good.messages(), 48, 2)));   // tail longer than a period
+  EXPECT_FALSE(verifies(rebuilt(good.messages(), 48, 4)));   // copies past the array end
+  EXPECT_TRUE(verifies(rebuilt(good.messages(), 48, 3)));
+}
+
+TEST(CommSchedule, StudySizeWalksOneOwnerPeriodPerRedistribution) {
+  // The regression pin of the one owner-run pass: at the paper's study sizes
+  // on 64 PEs each global schedule walks the owner runs of one joint period
+  // plus the tail, not of the whole array (trfd's XIJ: 49152 runs, not
+  // 580608).
+  const std::map<std::string, std::int64_t> expected = {
+      {"tfft2", 32962}, {"swim", 0},     {"tomcatv", 0},    {"hydro2d", 32768},
+      {"mgrid", 0},     {"trfd", 49152}, {"matmul", 16640}, {"conv2d", 0},
+      {"attention", 8192}, {"stencil_tt", 0}};
+  obs::Counter& walked = obs::metrics().counter("ad.comm.runs_walked");
+  for (const auto& code : codes::benchmarkSuite()) {
+    const ir::Program prog = code.build();
+    driver::PipelineConfig config;
+    config.params = codes::bindParams(prog, code.studyParams);
+    config.processors = 64;
+    config.simulatePlan = false;
+    config.simulateBaseline = false;
+    const std::int64_t before = walked.value();
+    const auto result = driver::analyzeAndSimulate(prog, config);
+    const std::int64_t runs = walked.value() - before;
+    ASSERT_TRUE(expected.count(code.name)) << code.name;
+    EXPECT_EQ(runs, expected.at(code.name)) << code.name;
+    // Never more runs than the periods and tails hold elements.
+    std::int64_t elements = 0;
+    for (const auto& s : result.schedules) {
+      const std::int64_t size =
+          ir::evalInt(prog.array(s.array()).size, config.params, "array size");
+      elements += s.period() + size - s.period() * s.repeats();
+    }
+    EXPECT_LE(runs, elements) << code.name;
+  }
+}
+
 TEST(CommSchedule, FrontierUpdatesBlockBoundaries) {
   const auto d = DataDistribution::blockCyclic(10);
   const auto sched = comm::generateFrontier("A", 100, d, 2, 4);
@@ -419,10 +679,10 @@ TEST(CommSchedule, FrontierUpdatesBlockBoundaries) {
   EXPECT_EQ(sched.totalWords(), 9 * 2);
   for (const auto& m : sched.messages()) {
     EXPECT_NE(m.src, m.dst);
-    for (const auto& r : m.ranges) {
+    sched.forEachRange(m, [](const comm::Range& r) {
       EXPECT_EQ(r.begin % 10, 0);  // overlap regions start at block starts
       EXPECT_LE(r.words(), 2);
-    }
+    });
   }
 }
 

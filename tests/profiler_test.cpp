@@ -24,6 +24,7 @@
 #include "support/fault.hpp"
 #include "support/thread_pool.hpp"
 #include "symbolic/intern.hpp"
+#include "symbolic/ranges.hpp"
 
 namespace ad::obs {
 namespace {
@@ -231,6 +232,41 @@ TEST_F(ProfilerTest, HelpedTasksLeaveWaiterSelfTime) {
       field("\"work_us\": ") + field("\"lock_wait_us\": ") + field("\"idle_us\": ");
   EXPECT_EQ(rowUs, outer.selfUs + nestedSelf) << summary;
   EXPECT_LE(rowUs, wallUs) << summary;
+}
+
+// A thread parked in ProofMemoContext::claimOrWait, waiting for another
+// thread's in-flight proof, is waiting on a lock: its row books the park as
+// lock_wait_us, not work_us.
+TEST_F(ProfilerTest, ProofClaimWaitCountsAsLockWait) {
+  sym::SymbolTable st;
+  const auto p = st.parameter("P");
+  const sym::Assumptions assumptions(st);
+  const auto ctx = sym::ProofMemo::global().context(assumptions);
+  const sym::InternedExpr e = sym::ExprIntern::global().intern(sym::Expr::symbol(p));
+  const auto op = sym::ProofMemoContext::Op::kNonNegative;
+  profiler().enable();
+  std::atomic<bool> claimed{false};
+  std::thread holder([&] {
+    ASSERT_TRUE(ctx->claimOrWait(op, e));
+    claimed.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ctx->release(op, e);
+  });
+  while (!claimed.load()) std::this_thread::yield();
+  const bool owned = ctx->claimOrWait(op, e);  // parks until the holder releases
+  holder.join();
+  profiler().disable();
+  EXPECT_FALSE(owned);
+
+  const std::string summary = profiler().summary();
+  const std::size_t row = summary.find("\"tid\": 0,");
+  ASSERT_NE(row, std::string::npos) << summary;
+  const std::size_t pos = summary.find("\"lock_wait_us\": ", row);
+  ASSERT_NE(pos, std::string::npos) << summary;
+  const std::int64_t lockWaitUs =
+      std::strtoll(summary.c_str() + pos + std::string_view("\"lock_wait_us\": ").size(),
+                   nullptr, 10);
+  EXPECT_GT(lockWaitUs, 0) << summary;
 }
 
 // Probe-length accounting: interning under an enabled profiler accumulates
