@@ -90,9 +90,7 @@ std::vector<Move> movesOf(const codes::CodeInfo& code,
   for (const auto& [array, dists] : result.plan.data) {
     const std::int64_t size = ir::evalInt(program.array(array).size, config.params, "array size");
     for (std::size_t k = 1; k < dists.size(); ++k) {
-      if (dists[k - 1] == dists[k]) continue;
-      if (!dists[k - 1].hasOwner() || !dists[k].hasOwner()) continue;
-      if (!dsm::redistributionMovesData(program, array, k)) continue;
+      if (!dsm::globalRedistributionDue(program, result.plan, array, k)) continue;
       moves.push_back(Move{code.name + "." + array, processors, params, dists[k - 1], dists[k],
                            size});
     }

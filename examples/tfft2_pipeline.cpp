@@ -92,7 +92,6 @@ int runSingle(const driver::CliOptions& opts) {
   config.params = codes::bindParams(prog, {{"P", opts.P}, {"Q", opts.Q}});
   config.processors = opts.H;
   config.validate = validateModeFrom(opts);
-  config.jobs = opts.jobs;
   config.budget = budgetFrom(opts);
 
   std::optional<support::ThreadPool> pool;
@@ -149,7 +148,6 @@ int runSuite(const driver::CliOptions& opts) {
     item.config.simulatePlan = false;
     item.config.simulateBaseline = false;
     item.config.validate = mode;
-    item.config.jobs = opts.jobs;
     item.config.budget = budgetFrom(opts);
     itemIndex[i] = static_cast<int>(batch.size());
     batch.push_back(std::move(item));

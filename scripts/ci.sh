@@ -62,7 +62,9 @@ asan() {
   # UndefinedBehaviorSanitizer keep those paths honest. The parser fuzz runs
   # here too — mutated input is where lifetime bugs hide — and so does
   # dsm_test, whose schedule fuzz drives the owner-period / repeat / tail
-  # int64 arithmetic of the communication schedules.
+  # int64 arithmetic of the communication schedules. validate_test runs the
+  # same closed-form count (lambda / repeat arithmetic) inside the
+  # Theorem-1/2 validator's wraparound check.
   echo "=== asan: robustness tests under ASan+UBSan ==="
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -70,7 +72,7 @@ asan() {
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   local tests=(status_test fault_test cli_test parser_fuzz_test \
                degradation_test thread_pool_test frontend_test service_test \
-               dsm_test)
+               dsm_test validate_test)
   cmake --build build-asan -j "$jobs" --target "${tests[@]}"
   for t in "${tests[@]}"; do
     ./build-asan/tests/"$t"

@@ -70,8 +70,8 @@ double CommSchedule::time(const dsm::MachineParams& machine) const {
 
 std::string CommSchedule::str() const {
   std::ostringstream os;
-  os << (pattern_ == Pattern::kGlobal ? "global" : "frontier") << " communication for "
-     << array_ << " (" << messages_.size() << " messages, " << totalWords() << " words)\n";
+  os << "global communication for " << array_ << " (" << messages_.size() << " messages, "
+     << totalWords() << " words)\n";
   for (const auto& m : messages_) {
     os << "  PE " << m.src << " -> PE " << m.dst << " (" << words(m) << " words):";
     std::int64_t shown = 0;
@@ -186,28 +186,7 @@ CommSchedule generateGlobal(const std::string& array, std::int64_t size,
         if (src != dst) moves.add(src, dst, inTail, begin, end);
       });
   obs::metrics().counter("ad.comm.runs_walked").add(p.runsWalked);
-  return CommSchedule(array, Pattern::kGlobal, p.lambda, p.repeats,
-                      std::move(moves).messages());
-}
-
-CommSchedule generateFrontier(const std::string& array, std::int64_t size,
-                              const dsm::DataDistribution& dist, std::int64_t overlap,
-                              std::int64_t processors) {
-  AD_REQUIRE(dist.kind == dsm::DataDistribution::Kind::kBlockCyclic,
-             "frontier update requires a BLOCK-CYCLIC distribution");
-  AD_REQUIRE(overlap >= 1, "overlap width must be positive");
-  Aggregator moves(processors);
-  // The owner of each block refreshes its replicated copy of the first
-  // `overlap` elements of the following block, which the next owner holds.
-  for (std::int64_t blockStart = 0; blockStart < size; blockStart += dist.block) {
-    const std::int64_t nextStart = blockStart + dist.block;
-    if (nextStart >= size) break;
-    const std::int64_t dst = dist.owner(blockStart, processors);
-    const std::int64_t src = dist.owner(nextStart, processors);
-    if (src == dst) continue;
-    moves.add(src, dst, false, nextStart, std::min(size, nextStart + overlap));
-  }
-  return CommSchedule(array, Pattern::kFrontier, size, 1, std::move(moves).messages());
+  return CommSchedule(array, p.lambda, p.repeats, std::move(moves).messages());
 }
 
 bool verifiesRedistribution(const CommSchedule& schedule, std::int64_t size,

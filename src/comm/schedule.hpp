@@ -1,13 +1,13 @@
 // Communication generation (Section 4.3b).
 //
 // For every C edge of the LCG the compiler must emit communication before
-// the drain phase. Two patterns (the paper's terminology):
-//   - Global communications: a redistribution — every element whose owner
-//     changes between the source and drain distributions moves with a
-//     single-sided put;
-//   - Frontier communications: an update of the replicated overlap
-//     sub-regions (width Delta_s) at the boundaries between neighbouring
-//     processors' chunks.
+// the drain phase. The paper has two patterns: global communications, a
+// redistribution in which every element whose owner changes between the
+// source and drain distributions moves with a single-sided put; and frontier
+// communications, refreshes of the replicated overlap sub-regions at the
+// boundaries between neighbouring processors' chunks. Schedules are generated
+// for the global ones; a frontier refresh is decided and priced in closed
+// form by the cost model (dsm::frontierRefresh), which is all the plan needs.
 // Message aggregation packs all element ranges with the same (source,
 // destination) pair into one message.
 //
@@ -57,21 +57,18 @@ struct Message {
   std::vector<Section> tail;    ///< sections of [repeats * lambda, size), address order
 };
 
-enum class Pattern { kGlobal, kFrontier };
-
+/// The put schedule of one global redistribution.
 class CommSchedule {
  public:
   /// `period` is lambda; the messages' period sections recur `repeats` times.
-  CommSchedule(std::string array, Pattern pattern, std::int64_t period, std::int64_t repeats,
+  CommSchedule(std::string array, std::int64_t period, std::int64_t repeats,
                std::vector<Message> messages)
       : array_(std::move(array)),
-        pattern_(pattern),
         period_(period),
         repeats_(repeats),
         messages_(std::move(messages)) {}
 
   [[nodiscard]] const std::string& array() const noexcept { return array_; }
-  [[nodiscard]] Pattern pattern() const noexcept { return pattern_; }
   [[nodiscard]] std::int64_t period() const noexcept { return period_; }
   [[nodiscard]] std::int64_t repeats() const noexcept { return repeats_; }
   [[nodiscard]] const std::vector<Message>& messages() const noexcept { return messages_; }
@@ -97,7 +94,6 @@ class CommSchedule {
 
  private:
   std::string array_;
-  Pattern pattern_;
   std::int64_t period_;
   std::int64_t repeats_;
   std::vector<Message> messages_;
@@ -148,13 +144,6 @@ void CommSchedule::forEachRange(const Message& m, Fn&& fn) const {
                                           const dsm::DataDistribution& from,
                                           const dsm::DataDistribution& to,
                                           std::int64_t processors);
-
-/// Frontier update: each block's owner sends the `overlap`-wide region at the
-/// start of the *next* block to that block's owner (the replicated overlap
-/// sub-region of Theorem 1c after a write). One period spans the array.
-[[nodiscard]] CommSchedule generateFrontier(const std::string& array, std::int64_t size,
-                                            const dsm::DataDistribution& dist,
-                                            std::int64_t overlap, std::int64_t processors);
 
 /// Verifies that `schedule` moves exactly the elements whose owner changes
 /// between `from` and `to`, each exactly once, with correct endpoints. Both

@@ -22,11 +22,15 @@ struct CliOptions {
   std::int64_t Q = 64;
   std::int64_t H = 8;
 
-  bool simulate = false;  ///< --simulate: trace-replay + Theorem-1/2 check
-  bool suite = false;     ///< --suite: run the whole benchmark suite (six 1999 codes + kernels)
+  /// --simulate: trace-replay + Theorem-1/2 check (validate "trace" unless
+  /// --validate says otherwise); with --client also the request's `simulate`
+  /// field, so the server runs the DSM cost model too.
+  bool simulate = false;
+  bool suite = false;  ///< --suite: run the whole benchmark suite (six 1999 codes + kernels)
 
   /// --validate=trace|symbolic|both: which validation oracle(s) to run (see
-  /// docs/VALIDATION.md). Empty = none requested (--simulate implies trace).
+  /// docs/VALIDATION.md). Empty = none requested (--simulate then implies
+  /// trace).
   std::string validate;
 
   std::size_t jobs = 1;   ///< --jobs N (N >= 1)

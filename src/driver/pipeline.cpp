@@ -57,6 +57,8 @@ dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
                               const ilp::Model& model, const ilp::Solution& solution,
                               const ir::Bindings& params, std::int64_t processors,
                               const dsm::MachineParams& machine) {
+  dsm::MachineParams priced = machine;
+  priced.processors = processors;
   dsm::ExecutionPlan plan;
   const std::size_t numPhases = program.phases().size();
   for (std::size_t k = 0; k < numPhases; ++k) {
@@ -180,16 +182,12 @@ dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
         if (halo > 0 && !lPromise && !haloForced) {
           const auto& dist = plan.data.at(g.array)[node.phase];
           if (dist.hasOwner()) {
-            const std::int64_t size = ir::evalInt(program.array(g.array).size, params, "size");
-            const std::int64_t boundaries =
-                std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
-            const double refresh =
-                (2.0 * static_cast<double>(boundaries) * machine.putLatency +
-                 2.0 * static_cast<double>(boundaries * halo) * machine.perWord) /
-                static_cast<double>(processors);
+            const dsm::RedistributionStats refresh = dsm::frontierTraffic(
+                ir::evalInt(program.array(g.array).size, params, "size"), dist, halo);
+            // Without the halo, one direction's words are read remotely.
             const double remote =
-                static_cast<double>(boundaries * halo) * machine.remoteAccess;
-            if (refresh >= remote) halo = 0;
+                static_cast<double>(refresh.wordsMoved / 2) * machine.remoteAccess;
+            if (dsm::putTime(refresh, priced) >= remote) halo = 0;
           }
         }
         halos[node.phase] = halo;
@@ -266,15 +264,15 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     support::throwIfCancelled();
     solution = model->solve();
   }
-  dsm::MachineParams machineForPlan = config.machine;
-  machineForPlan.processors = config.processors;
+  dsm::MachineParams machine = config.machine;
+  machine.processors = config.processors;
   dsm::ExecutionPlan plan;
   {
     obs::Span s("pipeline.plan");
     ErrorContext stage("stage", "plan");
     support::throwIfCancelled();
     plan = derivePlan(program, *lcgGraph, *model, solution, config.params,
-                      config.processors, machineForPlan);
+                      config.processors, machine);
   }
 
   // Communication schedules for every distribution change.
@@ -287,9 +285,7 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
       const std::int64_t size =
           ir::evalInt(program.array(array).size, config.params, "array size");
       for (std::size_t k = 1; k < dists.size(); ++k) {
-        if (dists[k - 1] == dists[k]) continue;
-        if (!dists[k - 1].hasOwner() || !dists[k].hasOwner()) continue;
-        if (!dsm::redistributionMovesData(program, array, k)) continue;
+        if (!dsm::globalRedistributionDue(program, plan, array, k)) continue;
         auto sched = comm::generateGlobal(array, size, dists[k - 1], dists[k], config.processors);
         AD_CHECK(comm::verifiesRedistribution(sched, size, dists[k - 1], dists[k],
                                               config.processors));
@@ -297,9 +293,6 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
       }
     }
   }
-
-  dsm::MachineParams machine = config.machine;
-  machine.processors = config.processors;
 
   dsm::SimulationResult planned;
   if (config.simulatePlan) {

@@ -53,16 +53,13 @@ struct PipelineConfig {
   bool simulateBaseline = true;
 
   /// Trace-validation oracle selection (`--validate=trace|symbolic|both`;
-  /// `--simulate` is kTrace): cross-check the observed communication against
-  /// the LCG's Theorem-1/2 edge labels. The trace oracle always enumerates
-  /// (one dsm::replay of the plan); the symbolic one reads the cost model's
-  /// closed-form count (the plan's, when simulatePlan costed it).
+  /// `--simulate` alone selects kTrace, and with `--client` also asks the
+  /// server to cost the plan, see docs/VALIDATION.md): cross-check the
+  /// observed communication against the LCG's Theorem-1/2 edge labels. The
+  /// trace oracle always enumerates (one dsm::replay of the plan); the
+  /// symbolic one reads the cost model's closed-form count (the plan's, when
+  /// simulatePlan costed it).
   ValidateMode validate = ValidateMode::kNone;
-
-  /// Worker threads for the batched engine (analyzeBatch). Within a single
-  /// analyzeAndSimulate call this many workers also pick up the per-array
-  /// analysis tasks when a pool is supplied.
-  std::size_t jobs = 1;
 
   /// Analysis budget for this run (prover steps / recursion depth / wall
   /// clock; zero fields are unlimited). Exhaustion never fails the pipeline:

@@ -202,6 +202,27 @@ bool redistributionMovesData(const ir::Program& program, const std::string& arra
   return false;  // never used again
 }
 
+bool globalRedistributionDue(const ir::Program& program, const ExecutionPlan& plan,
+                             const std::string& array, std::size_t phase) {
+  if (phase == 0) return false;
+  const auto it = plan.data.find(array);
+  if (it == plan.data.end()) return false;
+  const DataDistribution& prev = it->second[phase - 1];
+  const DataDistribution& next = it->second[phase];
+  return !(prev == next) && prev.hasOwner() && next.hasOwner() &&
+         redistributionMovesData(program, array, phase);
+}
+
+RedistributionStats frontierTraffic(std::int64_t size, const DataDistribution& dist,
+                                    std::int64_t halo) {
+  const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
+  RedistributionStats rs;
+  rs.frontier = true;
+  rs.wordsMoved = 2 * halo * boundaries;  // both directions
+  rs.messages = 2 * boundaries;
+  return rs;
+}
+
 std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
                                                    const ir::Bindings& params,
                                                    const ExecutionPlan& plan,
@@ -217,28 +238,21 @@ std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
   if (!writtenElsewhere) return std::nullopt;
   const DataDistribution& dist = plan.data.at(array.name)[phase];
   if (!dist.hasOwner()) return std::nullopt;
-  const std::int64_t size = ir::evalInt(array.size, params, "array size");
-  const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
-  RedistributionStats rs;
+  RedistributionStats rs = frontierTraffic(ir::evalInt(array.size, params, "array size"), dist,
+                                           hit->second[phase]);
+  if (rs.wordsMoved <= 0) return std::nullopt;
   rs.array = array.name;
   rs.beforePhase = phase;
-  rs.frontier = true;
-  rs.wordsMoved = 2 * hit->second[phase] * boundaries;  // both directions
-  rs.messages = 2 * boundaries;
-  if (rs.wordsMoved <= 0) return std::nullopt;
   return rs;
 }
 
-namespace {
-
-/// Cost of one aggregated communication event. Aggregated puts proceed in
-/// parallel across processors: the critical path carries ~1/H of the volume
-/// and messages.
 double putTime(const RedistributionStats& rs, const MachineParams& machine) {
   return (static_cast<double>(rs.messages) * machine.putLatency +
           static_cast<double>(rs.wordsMoved) * machine.perWord) /
          static_cast<double>(machine.processors);
 }
+
+namespace {
 
 using RedistributionCounter = void (*)(const DataDistribution&, const DataDistribution&,
                                        std::int64_t, std::int64_t, std::int64_t&,
@@ -270,21 +284,13 @@ std::optional<RedistributionStats> redistributionBefore(const ir::Program& progr
                                                         std::size_t phase,
                                                         std::int64_t processors,
                                                         RedistributionCounter count) {
-  if (phase == 0) return std::nullopt;
-  const auto it = plan.data.find(array.name);
-  if (it == plan.data.end()) return std::nullopt;
-  const DataDistribution& prev = it->second[phase - 1];
-  const DataDistribution& next = it->second[phase];
-  if (prev == next) return std::nullopt;
-  // Entering/leaving private scratch moves no shared data.
-  if (!prev.hasOwner() || !next.hasOwner()) return std::nullopt;
-  // Dead values: re-allocation only, no copies.
-  if (!redistributionMovesData(program, array.name, phase)) return std::nullopt;
+  if (!globalRedistributionDue(program, plan, array.name, phase)) return std::nullopt;
+  const std::vector<DataDistribution>& dists = plan.data.at(array.name);
   RedistributionStats rs;
   rs.array = array.name;
   rs.beforePhase = phase;
-  count(prev, next, ir::evalInt(array.size, params, "array size"), processors, rs.wordsMoved,
-        rs.messages);
+  count(dists[phase - 1], dists[phase], ir::evalInt(array.size, params, "array size"),
+        processors, rs.wordsMoved, rs.messages);
   if (rs.wordsMoved == 0) return std::nullopt;
   return rs;
 }

@@ -208,16 +208,36 @@ struct ExecutionPlan {
 [[nodiscard]] bool redistributionMovesData(const ir::Program& program, const std::string& array,
                                            std::size_t phase);
 
+/// True when a global redistribution of `array` runs before `phase`: its
+/// distribution changes there between two owner-bearing placements (entering
+/// or leaving private/replicated copies moves no shared data) and the values
+/// are live (redistributionMovesData). The one rule the cost model charges
+/// and the pipeline schedules communication by.
+[[nodiscard]] bool globalRedistributionDue(const ir::Program& program, const ExecutionPlan& plan,
+                                           const std::string& array, std::size_t phase);
+
+/// Words and messages of one frontier refresh of a `size`-element array
+/// under owner-bearing `dist` with a `halo`-wide replicated overlap: the
+/// owners push `halo` words each way across every interior block boundary.
+/// Only wordsMoved, messages and frontier are set.
+[[nodiscard]] RedistributionStats frontierTraffic(std::int64_t size, const DataDistribution& dist,
+                                                  std::int64_t halo);
+
 /// The frontier refresh due before `phase` for `array`, in closed form: when
 /// the phase reads the array through a replicated halo and another phase
-/// writes it, the owners push `halo` words each way across every interior
-/// block boundary (no per-element work). nullopt when no refresh is due or it
-/// moves nothing. `time` is left 0.
+/// writes it, frontierTraffic under the phase's distribution and halo (no
+/// per-element work). nullopt when no refresh is due or it moves nothing.
+/// `time` is left 0.
 [[nodiscard]] std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
                                                                  const ir::Bindings& params,
                                                                  const ExecutionPlan& plan,
                                                                  const ir::ArrayDecl& array,
                                                                  std::size_t phase);
+
+/// Cost of one aggregated communication event on machine.processors PEs.
+/// Aggregated puts proceed in parallel across processors: the critical path
+/// carries ~1/H of the volume and messages.
+[[nodiscard]] double putTime(const RedistributionStats& rs, const MachineParams& machine);
 
 /// One phase of the replay: per-processor time and per-array counts.
 struct PhaseReplay {

@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 
+#include "dsm/closed_form.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::dsm {
@@ -207,12 +208,11 @@ LocalityValidationReport validateLocality(const lcg::LCG& lcg, const ExecutionPl
         if (!(last == first) && last.hasOwner() && first.hasOwner() &&
             program.phase(ob.toPhase).reads(g.array) &&
             !program.phase(ob.toPhase).isPrivatized(g.array)) {
-          const std::int64_t size =
-              program.array(g.array).size.evaluate(params).asInteger();
           std::int64_t moved = 0;
-          for (std::int64_t a = 0; a < size; ++a) {
-            if (last.owner(a, processors) != first.owner(a, processors)) ++moved;
-          }
+          std::int64_t messages = 0;
+          countRedistribution(last, first,
+                              ir::evalInt(program.array(g.array).size, params, "array size"),
+                              processors, moved, messages);
           (isFolded(last) || isFolded(first) ? ob.storageWords
                                              : ob.redistributedWords) += moved;
         }

@@ -289,11 +289,10 @@ Response Server::analyze(const Admitted& item) {
   else if (request.validate == "symbolic") config.validate = driver::ValidateMode::kSymbolic;
   else if (request.validate == "both") config.validate = driver::ValidateMode::kBoth;
   // Per-request isolation: this run gets its own Budget (created by the
-  // pipeline from these limits) and this handle's cancellation token. jobs
-  // stays 1 — concurrency comes from requests, not from within one.
+  // pipeline from these limits) and this handle's cancellation token. No
+  // pool — concurrency comes from requests, not from within one.
   config.budget = limits;
   config.cancel = item.handle->token_;
-  config.jobs = 1;
 
   Expected<driver::PipelineResult> result =
       driver::analyzeAndSimulateChecked(program, config, nullptr);

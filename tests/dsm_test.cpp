@@ -412,22 +412,6 @@ TEST(CommSchedule, OwnerRunSchedulesMatchPerElementAggregation) {
                            fromName + " -> " + toName + " H=" + std::to_string(H));
         EXPECT_TRUE(comm::verifiesRedistribution(sched, size, from, to, H));
       }
-      if (from.kind != DataDistribution::Kind::kBlockCyclic) continue;
-      for (const std::int64_t overlap : {std::int64_t{1}, std::int64_t{2}, from.block + 1}) {
-        std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
-        for (std::int64_t start = from.block; start < size; start += from.block) {
-          const std::int64_t dst = from.owner(start - from.block, H);
-          const std::int64_t src = from.owner(start, H);
-          if (src == dst) continue;
-          for (std::int64_t a = start; a < std::min(size, start + overlap); ++a) {
-            moves.emplace_back(src, dst, a);
-          }
-        }
-        expectSameMessages(comm::generateFrontier("X", size, from, overlap, H),
-                           bruteForceMessages(moves),
-                           "frontier " + fromName + " overlap=" + std::to_string(overlap) +
-                               " H=" + std::to_string(H));
-      }
     }
   }
 }
@@ -550,7 +534,7 @@ TEST(CommSchedule, RangeCountMergesRunsAcrossPeriodBoundaries) {
   // Runs ending at lambda and restarting at 0 join across copies, and the
   // last copy's run joins a tail run starting at repeats * lambda.
   const comm::CommSchedule sched(
-      "X", comm::Pattern::kGlobal, 8, 3,
+      "X", 8, 3,
       {comm::Message{0, 1, {comm::Section{0, 2, 6, 2}}, {comm::Section{24, 1, 0, 1}}},
        comm::Message{1, 0, {comm::Section{3, 1, 0, 1}}, {}}});
   std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
@@ -580,7 +564,7 @@ TEST(CommSchedule, VerifierRejectsDoctoredPeriodicSchedules) {
   ASSERT_TRUE(comm::verifiesRedistribution(good, size, from, to, H));
   const auto rebuilt = [&](std::vector<comm::Message> msgs, std::int64_t period,
                            std::int64_t repeats) {
-    return comm::CommSchedule("X", comm::Pattern::kGlobal, period, repeats, std::move(msgs));
+    return comm::CommSchedule("X", period, repeats, std::move(msgs));
   };
   const auto verifies = [&](const comm::CommSchedule& s) {
     return comm::verifiesRedistribution(s, size, from, to, H);
@@ -669,20 +653,6 @@ TEST(CommSchedule, StudySizeWalksOneOwnerPeriodPerRedistribution) {
       elements += s.period() + size - s.period() * s.repeats();
     }
     EXPECT_LE(runs, elements) << code.name;
-  }
-}
-
-TEST(CommSchedule, FrontierUpdatesBlockBoundaries) {
-  const auto d = DataDistribution::blockCyclic(10);
-  const auto sched = comm::generateFrontier("A", 100, d, 2, 4);
-  // 9 interior boundaries, each with a 2-element overlap region.
-  EXPECT_EQ(sched.totalWords(), 9 * 2);
-  for (const auto& m : sched.messages()) {
-    EXPECT_NE(m.src, m.dst);
-    sched.forEachRange(m, [](const comm::Range& r) {
-      EXPECT_EQ(r.begin % 10, 0);  // overlap regions start at block starts
-      EXPECT_LE(r.words(), 2);
-    });
   }
 }
 
